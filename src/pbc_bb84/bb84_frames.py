@@ -4,18 +4,18 @@ Bob prepares polarized pulses, a loss+flip channel stands in for the
 optics, Alice measures in random bases, and detected signals are grouped
 into 4N-signal frames.  All randomness flows from explicit seeds through
 numpy's default generator (PCG64), so identical seeds give bit-identical
-streams.
+streams.  Pulses and detected records are numpy structured arrays (basis
+0 is rectilinear, 1 diagonal), frames an ``(n_frames, 4N)`` view of the
+records, classification and sifting per-frame masks.  ``Frame`` and
+``MeasurementRecord`` are the protocol layer's object form of one frame.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import math_core
 
 
 class Basis(enum.Enum):
@@ -30,15 +30,15 @@ class FrameClass(enum.Enum):
 
 _BASES = (Basis.RECTILINEAR, Basis.DIAGONAL)
 
-
-@dataclass(slots=True)
-class Pulse:
-    """One prepared signal; (basis, bit) selects one of the four
-    polarization states."""
-
-    index: int
-    basis: Basis
-    bit: int
+#: Bob's prepared signals: (basis, bit) selects one of the four
+#: polarization states.
+PULSE = np.dtype([("basis", np.int8), ("bit", np.int8)])
+#: One detected signal: Alice's view (index, basis, outcome) and Bob's
+#: (basis, bit), which only the verifier's counts and test oracles read.
+RECORD = np.dtype([
+    ("index", np.int64), ("alice_basis", np.int8), ("outcome", np.int8),
+    ("bob_basis", np.int8), ("bob_bit", np.int8),
+])
 
 
 @dataclass(frozen=True)
@@ -82,122 +82,110 @@ class Frame:
     records: list[MeasurementRecord]
     classification: FrameClass = field(default=FrameClass.NORMAL)
 
+    @classmethod
+    def from_row(cls, row: np.ndarray, classification: FrameClass) -> "Frame":
+        """Object form of one row of :func:`assemble_frames`."""
+        records = [
+            MeasurementRecord(i, _BASES[a], o, (_BASES[b], bit))
+            for i, a, o, b, bit in row.tolist()
+        ]
+        return cls(records, classification)
+
     def outcomes_in_basis(self, basis: Basis) -> tuple[int, ...]:
         """Outcome bits of records measured in ``basis``, in record order."""
         return tuple(r.outcome for r in self.records if r.alice_basis is basis)
 
 
-def prepare_pulses(count: int, rng_seed: int) -> list[Pulse]:
+def prepare_pulses(count: int, rng_seed: int) -> np.ndarray:
     """Bob's pulse train: independent fair coin flips for basis and bit."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    bases = rng.integers(0, 2, size=count)
-    bits = rng.integers(0, 2, size=count)
-    return [Pulse(i, _BASES[bases[i]], int(bits[i])) for i in range(count)]
+    pulses = np.empty(count, PULSE)
+    pulses["basis"] = rng.integers(0, 2, size=count)
+    pulses["bit"] = rng.integers(0, 2, size=count)
+    return pulses
 
 
 def transmit_and_measure(
-    pulses: list[Pulse], channel: ChannelModel, rng_seed: int
-) -> list[MeasurementRecord]:
+    pulses: np.ndarray, channel: ChannelModel, rng_seed: int
+) -> np.ndarray:
     """Channel plus Alice's measurement.
 
     Each pulse survives independently with ``detection_prob``; Alice picks
     a uniform basis; a matched basis reproduces Bob's bit except with
     ``flip_prob``, a mismatched basis yields a fair coin.  Undetected
-    pulses are simply absent (detection notification is implicit).
+    pulses are simply absent (detection notification is implicit); a
+    record's index is its pulse's position.
     """
     n = len(pulses)
     rng = np.random.default_rng(rng_seed)
-    detected = rng.random(n) < channel.detection_prob
-    alice_bases = rng.integers(0, 2, size=n)
-    flips = rng.random(n) < channel.flip_prob
-    coins = rng.integers(0, 2, size=n)
+    detected = np.flatnonzero(rng.random(n) < channel.detection_prob)
+    alice = rng.integers(0, 2, size=n)[detected]
+    flips = (rng.random(n) < channel.flip_prob)[detected]
+    coins = rng.integers(0, 2, size=n)[detected]
 
-    records = []
-    for i, pulse in enumerate(pulses):
-        if not detected[i]:
-            continue
-        a_basis = _BASES[alice_bases[i]]
-        if a_basis is pulse.basis:
-            outcome = pulse.bit ^ int(flips[i])
-        else:
-            outcome = int(coins[i])
-        records.append(
-            MeasurementRecord(pulse.index, a_basis, outcome, (pulse.basis, pulse.bit))
-        )
+    sent = pulses[detected]
+    records = np.empty(len(detected), RECORD)
+    records["index"] = detected
+    records["alice_basis"] = alice
+    records["outcome"] = np.where(alice == sent["basis"], sent["bit"] ^ flips, coins)
+    records["bob_basis"] = sent["basis"]
+    records["bob_bit"] = sent["bit"]
     return records
 
 
-def classify_frame(records: list[MeasurementRecord], n_quarter: int) -> FrameClass:
-    rect = sum(1 for r in records if r.alice_basis is Basis.RECTILINEAR)
-    if rect == 2 * n_quarter:
-        return FrameClass.COMMITMENT_CANDIDATE
-    return FrameClass.NORMAL
+def classify_frame(frames: np.ndarray, n_quarter: int) -> np.ndarray:
+    """Commitment-candidate mask: frames with exactly 2N rectilinear
+    measurements."""
+    return np.count_nonzero(frames["alice_basis"] == 0, axis=1) == 2 * n_quarter
 
 
-def assemble_frames(records: list[MeasurementRecord], n_quarter: int) -> list[Frame]:
-    """Group detected records into consecutive non-overlapping 4N frames;
-    a trailing partial group is discarded."""
+def assemble_frames(records: np.ndarray, n_quarter: int) -> np.ndarray:
+    """Group detected records into consecutive non-overlapping 4N frames,
+    an ``(n_frames, 4N)`` view; a trailing partial group is left out."""
     if n_quarter < 1:
         raise ValueError("n_quarter must be >= 1")
     size = 4 * n_quarter
-    frames = []
-    for start in range(0, len(records) - size + 1, size):
-        chunk = records[start : start + size]
-        frames.append(Frame(chunk, classify_frame(chunk, n_quarter)))
-    return frames
+    n_frames = len(records) // size
+    return records[: n_frames * size].reshape(n_frames, size)
 
 
-def sift_records(frame: Frame) -> list[MeasurementRecord]:
-    """Records whose measurement basis matches Bob's preparation basis."""
-    return [r for r in frame.records if r.alice_basis is r.ground_truth[0]]
+def sift_records(frames: np.ndarray) -> np.ndarray:
+    """Mask of records whose measurement basis matches Bob's preparation
+    basis."""
+    return frames["alice_basis"] == frames["bob_basis"]
 
 
-def sift_and_distill(
-    frames: list[Frame], params: math_core.RateParams
-) -> list[int]:
-    """Key bits credited from Normal frames.
+def distill(sifted: np.ndarray, rate: float) -> np.ndarray:
+    """Mask of the key bits credited from each row of a sift mask.
 
-    Sifts matched-basis records, credits floor(sifted * max(0, r)) bits
-    with r the final key rate at ``params.q_tol``, and returns the first
-    credited sifted outcomes as the key values (idealized hashing: the
-    scheme's security accounting is rate-level, not code-level).
+    A row with s sifted records credits its first floor(s * rate) sifted
+    outcomes as key values (idealized hashing: the scheme's security
+    accounting is rate-level, not code-level).
     """
-    rate = max(0.0, math_core.final_key_rate(params.q_tol))
-    sifted = []
-    for frame in frames:
-        if frame.classification is FrameClass.NORMAL:
-            sifted.extend(r.outcome for r in sift_records(frame))
-    credited = math.floor(len(sifted) * rate)
-    return sifted[:credited]
+    rank = np.cumsum(sifted, axis=-1)
+    credit = np.floor(rank[..., -1:] * rate)
+    return sifted & (rank <= credit)
 
 
 def export_stream(
-    records: list[MeasurementRecord],
-    frames: list[Frame],
-    credited_bits: int,
-    include_records: bool = True,
+    records: np.ndarray, frames: np.ndarray, credited_bits: int, include_records: bool = True
 ) -> dict:
     """Structured JSON document for one preparation-phase run."""
+    classes = [FrameClass.NORMAL.value, FrameClass.COMMITMENT_CANDIDATE.value]
+    candidate = classify_frame(frames, frames.shape[1] // 4)
     doc = {
         "record_count": len(records),
         "frames": [
-            {
-                "classification": f.classification.value,
-                "indices": [r.index for r in f.records],
-            }
-            for f in frames
+            {"classification": classes[c], "indices": indices}
+            for c, indices in zip(candidate.tolist(), frames["index"].tolist())
         ],
         "key_credit": credited_bits,
     }
     if include_records:
         doc["records"] = [
-            {
-                "index": r.index,
-                "alice_basis": r.alice_basis.value,
-                "outcome": r.outcome,
-            }
-            for r in records
+            {"index": i, "alice_basis": _BASES[a].value, "outcome": o}
+            for i, a, o, _, _ in records.tolist()
         ]
     return doc

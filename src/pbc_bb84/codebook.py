@@ -12,6 +12,8 @@ import math
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 #: Payload carries the raw 2N outcome bits.
 MODE_RAW = "raw"
 #: Payload carries the codeword rank (ceil(log2 x) bits, MSB first) plus
@@ -116,6 +118,24 @@ def is_codeword(cb: Codebook, seq: Bits) -> bool:
     if sum(seq) != cb.n_half:
         return False
     return rank(seq) < cb.x
+
+
+def codeword_mask(cb: Codebook, rows: np.ndarray) -> np.ndarray:
+    """:func:`is_codeword` for each row of an ``(n, 2N)`` array of bits.
+
+    A balanced row is a codeword iff it sorts before ``unrank(N, x)``, the
+    first balanced sequence outside the codebook: at the first position
+    where the two differ, the row holds the 0.
+    """
+    rows = np.asarray(rows)
+    if rows.shape[-1] != cb.length:
+        raise ValueError(f"expected {cb.length} bits, got {rows.shape[-1]}")
+    balanced = np.count_nonzero(rows, axis=1) == cb.n_half
+    if cb.x == cb.capacity():
+        return balanced
+    bound = np.array(unrank(cb.n_half, cb.x))
+    first = np.argmax(rows != bound, axis=1)
+    return balanced & (rows[np.arange(len(rows)), first] < bound[first])
 
 
 def payload_bits(cb: Codebook, seq: Bits, commit_bit: int, mode: str = MODE_RAW) -> Bits:

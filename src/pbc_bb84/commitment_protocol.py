@@ -12,19 +12,21 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Iterator
 
 import numpy as np
 
-from . import math_core
+from . import bb84_frames, math_core
 from .bb84_frames import (
+    RECORD,
     Basis,
     ChannelModel,
     Frame,
     FrameClass,
     MeasurementRecord,
     assemble_frames,
+    distill,
     prepare_pulses,
     sift_records,
     transmit_and_measure,
@@ -34,6 +36,7 @@ from .codebook import (
     Codebook,
     MODE_RAW,
     PAYLOAD_MODES,
+    codeword_mask,
     decode_payload,
     is_codeword,
     pack_bits,
@@ -87,7 +90,7 @@ class KeyBuffer:
         return len(self._bits) - self._consumed
 
     def extend(self, bits) -> None:
-        self._bits.extend(int(b) & 1 for b in bits)
+        self._bits.extend((np.asarray(bits, dtype=np.int64) & 1).tolist())
 
     def consume(self, length: int) -> tuple[Bits, int]:
         """Next ``length`` unspent bits and their starting offset."""
@@ -286,6 +289,17 @@ def bob_verify(
     return Verdict.REJECT, counts
 
 
+#: Python types that carry each annotated JSON type of
+#: ``session_config.schema.json``.
+_CONFIG_TYPES = {
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+}
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Full configuration of one simulated session."""
@@ -307,6 +321,13 @@ class SessionConfig:
     tamper_p1_bit: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value, allowed = getattr(self, f.name), _CONFIG_TYPES[f.type]
+            # bool subclasses int, but a JSON boolean is not a number
+            if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed
+            ):
+                raise ValueError(f"{f.name}: must be of type {f.type}")
         if self.n_quarter < 1:
             raise ValueError("n_quarter: must be >= 1")
         cap = math.comb(2 * self.n_quarter, self.n_quarter)
@@ -316,6 +337,8 @@ class SessionConfig:
             raise ValueError("commit_bit: must be 0 or 1")
         if self.frame_budget < 1:
             raise ValueError("frame_budget: must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
         if not 0.0 < self.detection_prob <= 1.0:
             raise ValueError("detection_prob: must lie in (0, 1]")
         if not 0.0 <= self.flip_prob < 0.5:
@@ -346,44 +369,68 @@ class SessionConfig:
         return ChannelModel(self.detection_prob, self.flip_prob)
 
 
-def frame_stream(config: SessionConfig) -> Iterator[tuple[int, Frame]]:
-    """Unbounded deterministic stream of (frame_id, frame).
+def frame_batches(
+    config: SessionConfig, budget: int | None = None
+) -> Iterator[np.ndarray]:
+    """Deterministic stream of ``(n_frames, 4N)`` frame batches.
 
     Pulses are produced in batches; leftover detected records carry over
     between batches so frame grouping is identical to a single long run.
+    With ``budget`` the stream ends after frame ``budget - 1``, cutting the
+    batch that holds it.
     """
     seeds = np.random.SeedSequence(config.seed)
     channel = config.channel()
     size = 4 * config.n_quarter
     batch_pulses = max(4096, size * 64)
-    pending: list = []
-    frame_id = 0
-    batch = 0
-    while True:
+    pending = np.empty(0, RECORD)
+    first_id = 0
+    while budget is None or first_id <= budget:
         s_prep, s_chan = seeds.spawn(1)[0].generate_state(2)
         # spawn once per batch keeps seeds independent and reproducible
         pulses = prepare_pulses(batch_pulses, int(s_prep))
-        pending.extend(transmit_and_measure(pulses, channel, int(s_chan)))
-        n_full = len(pending) // size
-        for frame in assemble_frames(pending[: n_full * size], config.n_quarter):
-            yield frame_id, frame
+        pending = np.concatenate(
+            (pending, transmit_and_measure(pulses, channel, int(s_chan)))
+        )
+        frames = assemble_frames(pending, config.n_quarter)
+        pending = pending[frames.size :]
+        yield frames if budget is None else frames[: budget - first_id]
+        first_id += len(frames)
+
+
+def frame_stream(config: SessionConfig) -> Iterator[tuple[int, Frame]]:
+    """Unbounded deterministic stream of (frame_id, frame) objects."""
+    frame_id = 0
+    for frames in frame_batches(config):
+        candidate = bb84_frames.classify_frame(frames, config.n_quarter)
+        for row, c in zip(frames, candidate.tolist()):
+            cls = FrameClass.COMMITMENT_CANDIDATE if c else FrameClass.NORMAL
+            yield frame_id, Frame.from_row(row, cls)
             frame_id += 1
-        pending = pending[n_full * size :]
-        batch += 1
 
 
-def _threshold_ok(frame: Frame, n_tol: int) -> bool:
-    # Bob's preparation bases are public after the detection notification,
-    # so Alice can skip frames whose same-basis counts cannot pass.
-    n_rect = sum(
-        1 for r in frame.records
-        if r.alice_basis is Basis.RECTILINEAR and r.ground_truth[0] is Basis.RECTILINEAR
-    )
-    n_diag = sum(
-        1 for r in frame.records
-        if r.alice_basis is Basis.DIAGONAL and r.ground_truth[0] is Basis.DIAGONAL
-    )
-    return n_rect >= n_tol and n_diag >= n_tol
+def commit_masks(
+    frames: np.ndarray, sifted: np.ndarray, config: SessionConfig, cb: Codebook
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-frame masks (candidate, eligible, countable).
+
+    Eligible frames are candidates whose outcomes in the commit basis form
+    a codeword.  Countable frames have at least ``n_tol`` sifted records in
+    each basis: Bob's preparation bases are public after the detection
+    notification, so Alice skips frames whose counts cannot pass.
+    """
+    alice = frames["alice_basis"]
+    # looked up on the module, where the benchmark's tracer wraps it
+    candidate = bb84_frames.classify_frame(frames, config.n_quarter)
+    # basis code b is the basis that commits bit b
+    in_commit_basis = candidate[:, None] & (alice == config.commit_bit)
+    substrings = frames["outcome"][in_commit_basis].reshape(-1, 2 * config.n_quarter)
+    eligible = candidate.copy()
+    eligible[candidate] = codeword_mask(cb, substrings)
+    n_rect = np.count_nonzero(sifted & (alice == 0), axis=1)
+    n_diag = np.count_nonzero(sifted & (alice == 1), axis=1)
+    countable = (n_rect >= config.n_tol) & (n_diag >= config.n_tol)
+    return candidate, eligible, countable
 
 
 @dataclass
@@ -404,26 +451,16 @@ class SessionTranscript:
     verdict: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "frames_total": self.frames_total,
-            "candidate_frames": self.candidate_frames,
-            "eligible_frames": self.eligible_frames,
-            "threshold_skipped": self.threshold_skipped,
-            "insufficient_key_aborts": self.insufficient_key_aborts,
-            "sifted_bits": self.sifted_bits,
-            "commitments": self.commitments,
-            "key_ledger": self.key_ledger,
-            "schedule": self.schedule,
-            "status": self.status,
-            "verdict": self.verdict,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _distill_frame(frame: Frame, rate: float) -> list[int]:
-    sifted = [r.outcome for r in sift_records(frame)]
-    credited = math.floor(len(sifted) * rate)
-    return sifted[:credited]
+def _deal_key(bits: np.ndarray, buffers: dict, toggle: int) -> int:
+    """Hand key bits out alternately to P0 and P1, the first to the channel
+    ``toggle`` names; returns the toggle for the next bit."""
+    order = (CHANNEL_P0, CHANNEL_P1) if toggle == 0 else (CHANNEL_P1, CHANNEL_P0)
+    buffers[order[0]].extend(bits[0::2])
+    buffers[order[1]].extend(bits[1::2])
+    return toggle ^ (len(bits) & 1)
 
 
 def run_session(config: SessionConfig) -> SessionTranscript:
@@ -433,68 +470,59 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     thresholds satisfiable, sufficient pad) carries the commitment; with
     ``commit_all`` every such frame commits.  All other frames distill key
     into the two per-channel buffers by alternating allocation.
+
+    Each batch of frames is classified, sifted and distilled at once; only
+    eligible frames are visited one by one, since whether one commits
+    depends on the key distilled before it.
     """
     cb = Codebook(config.n_quarter, config.x)
     rate = max(0.0, math_core.final_key_rate(config.q_tol))
     buffers = {CHANNEL_P0: KeyBuffer(), CHANNEL_P1: KeyBuffer()}
-    generated = {CHANNEL_P0: 0, CHANNEL_P1: 0}
     toggle = 0
-    commit_basis = _basis_for_bit(config.commit_bit)
 
     transcript = SessionTranscript(config=config.to_dict())
     pending_unveil = []  # (frame, msg0, msg1, send_time)
-    sifted_total = 0
 
-    stream = frame_stream(config)
-    for frame_id, frame in stream:
-        if frame_id >= config.frame_budget:
-            break
-        transcript.frames_total += 1
-        is_candidate = frame.classification is FrameClass.COMMITMENT_CANDIDATE
-        eligible = False
-        if is_candidate:
-            transcript.candidate_frames += 1
-            substring = frame.outcomes_in_basis(commit_basis)
-            eligible = is_codeword(cb, substring)
-            if eligible:
-                transcript.eligible_frames += 1
-
-        committed_here = False
-        if eligible and (config.commit_all or not pending_unveil):
-            if not _threshold_ok(frame, config.n_tol):
+    for frames in frame_batches(config, config.frame_budget):
+        first_id = transcript.frames_total
+        sifted = sift_records(frames)
+        candidate, eligible, countable = commit_masks(frames, sifted, config, cb)
+        credited = distill(sifted, rate)
+        key = frames["outcome"][credited]
+        # key[key_start[i]:key_start[i + 1]] are the bits frame i credits
+        key_start = [0, *np.cumsum(np.count_nonzero(credited, axis=1)).tolist()]
+        transcript.sifted_bits += int(np.count_nonzero(sifted))
+        start = 0  # the first frame whose key is not dealt yet
+        for i in np.flatnonzero(eligible).tolist():
+            if pending_unveil and not config.commit_all:
+                break
+            if not countable[i]:
                 transcript.threshold_skipped += 1
-            else:
-                try:
-                    msgs = try_commit(
-                        frame, config.commit_bit, cb,
-                        buffers[CHANNEL_P0], buffers[CHANNEL_P1],
-                        frame_id=frame_id, mode=config.payload_mode,
-                    )
-                except InsufficientKeyError:
-                    transcript.insufficient_key_aborts += 1
-                    msgs = None
-                if msgs is not None:
-                    msg0, msg1 = msgs
-                    if config.tamper_p1_bit is not None and not pending_unveil:
-                        ct = list(msg1.payload_ciphertext)
-                        pos = config.tamper_p1_bit % len(ct)
-                        ct[pos] ^= 1
-                        msg1 = CommitMessage(
-                            msg1.frame_id, msg1.channel, tuple(ct), msg1.key_offset
-                        )
-                    pending_unveil.append((frame, msg0, msg1, frame_id))
-                    committed_here = True
-
-        if not committed_here:
-            bits = _distill_frame(frame, rate)
-            sifted_total += len(sift_records(frame))
-            for b in bits:
-                ch = CHANNEL_P0 if toggle == 0 else CHANNEL_P1
-                buffers[ch].extend([b])
-                generated[ch] += 1
-                toggle ^= 1
-
-    transcript.sifted_bits = sifted_total
+                continue
+            toggle = _deal_key(key[key_start[start] : key_start[i]], buffers, toggle)
+            start = i
+            frame = Frame.from_row(frames[i], FrameClass.COMMITMENT_CANDIDATE)
+            try:
+                msg0, msg1 = try_commit(
+                    frame, config.commit_bit, cb,
+                    buffers[CHANNEL_P0], buffers[CHANNEL_P1],
+                    frame_id=first_id + i, mode=config.payload_mode,
+                )
+            except InsufficientKeyError:
+                transcript.insufficient_key_aborts += 1
+                continue
+            if config.tamper_p1_bit is not None and not pending_unveil:
+                ct = list(msg1.payload_ciphertext)
+                ct[config.tamper_p1_bit % len(ct)] ^= 1
+                msg1 = replace(msg1, payload_ciphertext=tuple(ct))
+            pending_unveil.append((frame, msg0, msg1, first_id + i))
+            # a committing frame distills nothing
+            start = i + 1
+            transcript.sifted_bits -= int(np.count_nonzero(sifted[i]))
+        toggle = _deal_key(key[key_start[start] :], buffers, toggle)
+        transcript.frames_total += len(frames)
+        transcript.candidate_frames += int(np.count_nonzero(candidate))
+        transcript.eligible_frames += int(np.count_nonzero(eligible))
 
     # Unveiling: waiting-time schedule, relay cross-check, Bob's verdict.
     if pending_unveil:
@@ -556,7 +584,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
         transcript.status = "accept" if first["verdict"] == accept else "reject"
 
     transcript.key_ledger = {
-        ch: {"generated": generated[ch], "consumed": buffers[ch].consumed}
+        ch: {"generated": buffers[ch].total, "consumed": buffers[ch].consumed}
         for ch in (CHANNEL_P0, CHANNEL_P1)
     }
     return transcript
@@ -586,26 +614,24 @@ def simulate_cheating_alice(
     }
     succ = [0, 0]
     done = 0
-    for _frame_id, frame in frame_stream(config):
-        if frame.classification is not FrameClass.COMMITMENT_CANDIDATE:
-            continue
-        substring = frame.outcomes_in_basis(commit_basis)
-        if not is_codeword(cb, substring):
-            continue
-        if not _threshold_ok(frame, config.n_tol):
-            continue
-        honest = [r.alice_basis for r in frame.records]
-        flipped = [flip[b] for b in honest]
-        for target in (0, 1):
-            disclosure = honest if target == config.commit_bit else flipped
-            verdict, _ = bob_verify(
-                frame.records, disclosure, substring,
-                config.n_tol, config.e_tol, claimed_bit=target,
-            )
-            wanted = Verdict.ACCEPT0 if target == 0 else Verdict.ACCEPT1
-            if verdict is wanted:
-                succ[target] += 1
-        done += 1
-        if done >= trials:
-            break
-    return succ[0] / trials, succ[1] / trials
+    for frames in frame_batches(config):
+        _, eligible, countable = commit_masks(
+            frames, sift_records(frames), config, cb
+        )
+        for row in frames[eligible & countable]:
+            frame = Frame.from_row(row, FrameClass.COMMITMENT_CANDIDATE)
+            substring = frame.outcomes_in_basis(commit_basis)
+            honest = [r.alice_basis for r in frame.records]
+            flipped = [flip[b] for b in honest]
+            for target in (0, 1):
+                disclosure = honest if target == config.commit_bit else flipped
+                verdict, _ = bob_verify(
+                    frame.records, disclosure, substring,
+                    config.n_tol, config.e_tol, claimed_bit=target,
+                )
+                wanted = Verdict.ACCEPT0 if target == 0 else Verdict.ACCEPT1
+                if verdict is wanted:
+                    succ[target] += 1
+            done += 1
+            if done >= trials:
+                return succ[0] / trials, succ[1] / trials

@@ -5,7 +5,7 @@ rectilinear outcomes form a codeword (the payload), and Bob's same-basis
 counts reach N_tol on both sides, as in ``run_session``.  To unveil bit 1
 instead she may disclose any basis labelling of the 4N positions, with the
 same payload.  She knows her own bases and outcomes and, as
-``_threshold_ok`` assumes, Bob's bases.  Bob's bit is known to her only
+``commit_masks`` assumes, Bob's bases.  Bob's bit is known to her only
 where her basis matches his; elsewhere it is a fair coin to her.  Her honest
 unveiling is always accepted on a noiseless channel, so
 P(accept0) + P(accept1) = 1 + her best chance for bit 1, the sum that

@@ -1,21 +1,26 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
+import frame_reference as ref
+from pbc_bb84 import commitment_protocol as cp
 from pbc_bb84 import math_core as mc
 from pbc_bb84.bb84_frames import (
-    Basis,
+    RECORD,
     ChannelModel,
-    Frame,
     FrameClass,
-    MeasurementRecord,
     assemble_frames,
+    classify_frame,
+    distill,
     export_stream,
     prepare_pulses,
-    sift_and_distill,
     sift_records,
     transmit_and_measure,
 )
+
+R, D = 0, 1  # basis codes: rectilinear, diagonal
 
 
 def six_sigma(n, p):
@@ -26,17 +31,17 @@ class TestPreparePulses:
     def test_determinism(self):
         a = prepare_pulses(8, rng_seed=7)
         b = prepare_pulses(8, rng_seed=7)
-        assert [(p.basis, p.bit) for p in a] == [(p.basis, p.bit) for p in b]
+        assert np.array_equal(a, b)
         assert len(a) == 8
 
     def test_single(self):
         (pulse,) = prepare_pulses(1, rng_seed=0)
-        assert pulse.basis in (Basis.RECTILINEAR, Basis.DIAGONAL)
-        assert pulse.bit in (0, 1)
+        assert pulse["basis"] in (R, D)
+        assert pulse["bit"] in (0, 1)
 
     def test_basis_frequency(self):
         pulses = prepare_pulses(100_000, rng_seed=11)
-        rect = sum(1 for p in pulses if p.basis is Basis.RECTILINEAR)
+        rect = np.count_nonzero(pulses["basis"] == R)
         assert abs(rect - 50_000) <= six_sigma(100_000, 0.5)
         assert abs(rect / 100_000 - 0.5) <= 0.01
 
@@ -51,9 +56,8 @@ class TestTransmitAndMeasure:
         channel = ChannelModel(detection_prob=1.0, flip_prob=0.0)
         records = transmit_and_measure(pulses, channel, rng_seed=4)
         assert len(records) == 2000
-        for r in records:
-            if r.alice_basis is r.ground_truth[0]:
-                assert r.outcome == r.ground_truth[1]
+        matched = records["alice_basis"] == records["bob_basis"]
+        assert np.array_equal(records["outcome"][matched], records["bob_bit"][matched])
 
     def test_detection_rate(self):
         pulses = prepare_pulses(100_000, rng_seed=5)
@@ -65,8 +69,8 @@ class TestTransmitAndMeasure:
         pulses = prepare_pulses(100_000, rng_seed=7)
         channel = ChannelModel(detection_prob=1.0, flip_prob=0.1)
         records = transmit_and_measure(pulses, channel, rng_seed=8)
-        matched = [r for r in records if r.alice_basis is r.ground_truth[0]]
-        errors = sum(1 for r in matched if r.outcome != r.ground_truth[1])
+        matched = records[records["alice_basis"] == records["bob_basis"]]
+        errors = np.count_nonzero(matched["outcome"] != matched["bob_bit"])
         n = len(matched)
         assert abs(errors / n - 0.1) <= 6 * math.sqrt(0.1 * 0.9 / n)
 
@@ -75,9 +79,8 @@ class TestTransmitAndMeasure:
         channel = ChannelModel(detection_prob=0.7, flip_prob=0.05)
         a = transmit_and_measure(pulses, channel, rng_seed=10)
         b = transmit_and_measure(pulses, channel, rng_seed=10)
-        assert [(r.index, r.alice_basis, r.outcome) for r in a] == [
-            (r.index, r.alice_basis, r.outcome) for r in b
-        ]
+        seen = ["index", "alice_basis", "outcome"]
+        assert np.array_equal(a[seen], b[seen])
 
     def test_channel_validation(self):
         with pytest.raises(ValueError):
@@ -86,32 +89,31 @@ class TestTransmitAndMeasure:
             ChannelModel(flip_prob=0.5)
 
 
-def _record(i, alice_basis, outcome=0, bob_basis=None, bob_bit=0):
-    if bob_basis is None:
-        bob_basis = alice_basis
-    return MeasurementRecord(i, alice_basis, outcome, (bob_basis, bob_bit))
+def _records(alice_bases, outcomes=None):
+    """Records measured in ``alice_bases``, Bob's basis and bit matching."""
+    n = len(alice_bases)
+    outcomes = [0] * n if outcomes is None else outcomes
+    records = np.zeros(n, RECORD)
+    records["index"] = np.arange(n)
+    records["alice_basis"] = records["bob_basis"] = alice_bases
+    records["outcome"] = records["bob_bit"] = outcomes
+    return records
 
 
 class TestAssembleFrames:
     def test_partial_group_discarded(self):
-        records = [_record(i, Basis.RECTILINEAR) for i in range(9)]
-        frames = assemble_frames(records, n_quarter=1)
+        frames = assemble_frames(_records([R] * 9), n_quarter=1)
         assert len(frames) == 2
-        assert all(len(f.records) == 4 for f in frames)
+        assert frames.shape == (2, 4)
 
     def test_classification(self):
-        r, d = Basis.RECTILINEAR, Basis.DIAGONAL
-        candidate = assemble_frames(
-            [_record(0, r), _record(1, r), _record(2, d), _record(3, d)], 1
-        )[0]
-        assert candidate.classification is FrameClass.COMMITMENT_CANDIDATE
-        normal = assemble_frames(
-            [_record(0, r), _record(1, r), _record(2, r), _record(3, d)], 1
-        )[0]
-        assert normal.classification is FrameClass.NORMAL
+        candidate = assemble_frames(_records([R, R, D, D]), 1)
+        assert classify_frame(candidate, 1).tolist() == [True]
+        normal = assemble_frames(_records([R, R, R, D]), 1)
+        assert classify_frame(normal, 1).tolist() == [False]
 
     def test_empty(self):
-        assert assemble_frames([], 2) == []
+        assert len(assemble_frames(_records([]), 2)) == 0
 
     def test_candidate_frequency(self):
         pulses = prepare_pulses(8 * 120_000, rng_seed=21)
@@ -119,46 +121,42 @@ class TestAssembleFrames:
         frames = assemble_frames(records, n_quarter=2)
         m = len(frames)
         assert m >= 100_000
-        candidates = sum(
-            1 for f in frames if f.classification is FrameClass.COMMITMENT_CANDIDATE
-        )
+        candidates = np.count_nonzero(classify_frame(frames, 2))
         p = 70 / 256
         assert abs(candidates - m * p) <= six_sigma(m, p)
 
 
 class TestSiftAndDistill:
-    def _params(self, q):
-        return mc.RateParams(
-            n_quarter=2, q_tol=q, leak_ec=0.0, eps_sec=0.5, eps_cor=0.5
-        )
+    def _key(self, frames, q):
+        # every Normal frame's sifted records as one stream, distilled at
+        # the final key rate for q
+        rate = max(0.0, mc.final_key_rate(q))
+        normal = frames[~classify_frame(frames, 1)].reshape(-1)
+        return normal["outcome"][distill(sift_records(normal), rate)].tolist()
 
     def _normal_frames(self, n_sifted):
         # every record matched-basis but frames 3R/1D so they stay Normal
-        r, d = Basis.RECTILINEAR, Basis.DIAGONAL
-        records = []
-        for i in range(n_sifted):
-            basis = d if i % 4 == 3 else r
-            records.append(_record(i, basis, outcome=i % 2))
-        return assemble_frames(records, n_quarter=1)
+        bases = [D if i % 4 == 3 else R for i in range(n_sifted)]
+        return assemble_frames(_records(bases, [i % 2 for i in range(n_sifted)]), 1)
 
     def test_full_rate(self):
         frames = self._normal_frames(1000)
-        assert len(sift_and_distill(frames, self._params(0.0))) == 1000
+        assert len(self._key(frames, 0.0)) == 1000
 
     def test_partial_rate(self):
         frames = self._normal_frames(1000)
-        bits = sift_and_distill(frames, self._params(0.02))
+        bits = self._key(frames, 0.02)
         assert len(bits) == math.floor(1000 * mc.final_key_rate(0.02))
         assert len(bits) == 567
 
     def test_zero_rate(self):
         frames = self._normal_frames(1000)
-        assert sift_and_distill(frames, self._params(0.1)) == []
+        assert self._key(frames, 0.1) == []
 
     def test_sift_fraction(self):
         pulses = prepare_pulses(100_000, rng_seed=31)
         records = transmit_and_measure(pulses, ChannelModel(), rng_seed=32)
-        kept = sum(len(sift_records(f)) for f in assemble_frames(records, 1))
+        kept = np.count_nonzero(sift_records(assemble_frames(records, 1)))
         total = 4 * (len(records) // 4)
         assert abs(kept - total / 2) <= six_sigma(total, 0.5)
 
@@ -171,3 +169,66 @@ class TestSiftAndDistill:
         assert len(doc["frames"]) == len(frames)
         assert doc["key_credit"] == 10
         assert len(doc["records"]) == len(records)
+
+
+def _counting(module, name, monkeypatch):
+    """Count the calls of ``module.name`` for the rest of the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestMatchesReference:
+    """The array pipeline against the per-object loops it replaced, frame by
+    frame, across batch boundaries and the frame-budget cut."""
+
+    CONFIGS = [
+        # 10% detection: every batch ends mid-frame, records carry over
+        (cp.SessionConfig(seed=5, detection_prob=0.1, flip_prob=0.05, q_tol=0.02), 600),
+        # 512 frames per batch: 700 cuts the second batch, 1024 ends on a
+        # batch boundary
+        (cp.SessionConfig(seed=6, flip_prob=0.02, q_tol=0.01), 700),
+        (cp.SessionConfig(seed=7), 1024),
+        (cp.SessionConfig(seed=8, n_quarter=3, x=20, detection_prob=0.3), 300),
+    ]
+
+    @pytest.mark.parametrize("config,budget", CONFIGS)
+    def test_per_frame(self, config, budget):
+        rate = max(0.0, mc.final_key_rate(config.q_tol))
+        expected = list(itertools.islice(ref.frame_stream(config), budget))
+        batches = list(cp.frame_batches(config, budget))
+        frames = np.concatenate(batches)
+        assert len(frames) == budget
+        objects = itertools.islice(cp.frame_stream(config), budget)
+        assert [frame for _, frame in objects] == expected
+        candidate = classify_frame(frames, config.n_quarter)
+        sifted = sift_records(frames)
+        credited = distill(sifted, rate)
+        codes = {ref.Basis.RECTILINEAR: R, ref.Basis.DIAGONAL: D}
+        for i, frame in enumerate(expected):
+            assert frames[i].tolist() == [
+                (r.index, codes[r.alice_basis], r.outcome, codes[r.ground_truth[0]],
+                 r.ground_truth[1])
+                for r in frame.records
+            ]
+            is_candidate = frame.classification is FrameClass.COMMITMENT_CANDIDATE
+            assert candidate[i] == is_candidate
+            assert np.count_nonzero(sifted[i]) == len(ref.sift_records(frame))
+            assert frames["outcome"][i][credited[i]].tolist() == ref.distill_frame(frame, rate)
+
+    @pytest.mark.parametrize("config,budget", CONFIGS)
+    def test_budget_cut_draws_the_same_batches(self, config, budget, monkeypatch):
+        # the per-object session stopped on reading frame ``budget``
+        expected = _counting(ref, "prepare_pulses", monkeypatch)
+        for _ in itertools.islice(ref.frame_stream(config), budget + 1):
+            pass
+        drawn = _counting(cp, "prepare_pulses", monkeypatch)
+        for _ in cp.frame_batches(config, budget):
+            pass
+        assert drawn == expected

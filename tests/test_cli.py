@@ -142,6 +142,22 @@ class TestSimulate:
         cfg = self.write_config(tmp_path, flip_prob=0.9)
         assert run_cli(["simulate", "--config", str(cfg)]) == 64
 
+    @pytest.mark.parametrize("overrides", [
+        {"seed": -1},
+        {"seed": 1.5},
+        {"frame_budget": True},
+        {"n_quarter": True, "x": 1},
+        {"commit_all": 1},
+    ])
+    def test_bad_config_type(self, tmp_path, overrides):
+        # the schema rejects each of these; so must the runtime, cleanly
+        cfg = self.write_config(tmp_path, **overrides)
+        schema = load_schema("session_config.schema.json")
+        assert not jsonschema.Draft202012Validator(schema).is_valid(
+            json.loads(cfg.read_text())
+        )
+        assert run_cli(["simulate", "--config", str(cfg)]) == 64
+
     def test_unknown_field(self, tmp_path):
         cfg = self.write_config(tmp_path, not_a_field=1)
         assert run_cli(["simulate", "--config", str(cfg)]) == 64

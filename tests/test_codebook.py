@@ -1,6 +1,7 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +110,23 @@ class TestMembership:
             if cbk.is_codeword(cb, seq):
                 members += 1
         assert members / 2**length == x / 2**length
+
+    @pytest.mark.parametrize("n_half", range(1, 5))
+    def test_mask_matches_is_codeword(self, n_half):
+        rows = np.array(list(product((0, 1), repeat=2 * n_half)))
+        for x in range(cbk.codebook_capacity(n_half) + 1):
+            cb = cbk.Codebook(n_half, x)
+            expected = [cbk.is_codeword(cb, tuple(row)) for row in rows.tolist()]
+            assert cbk.codeword_mask(cb, rows).tolist() == expected
+
+    def test_mask_big_codebook(self):
+        cap = cbk.codebook_capacity(40)
+        rows = np.array([cbk.unrank(40, i) for i in (0, 10**20, cap - 2, cap - 1)])
+        assert cbk.codeword_mask(cbk.Codebook(40, cap - 1), rows).tolist() == [
+            True, True, True, False,
+        ]
+        with pytest.raises(ValueError):
+            cbk.codeword_mask(cbk.Codebook(40, cap), rows[:, 1:])
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError):

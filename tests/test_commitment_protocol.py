@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import pytest
 
-from pbc_bb84.bb84_frames import Basis, Frame, FrameClass, MeasurementRecord
-from pbc_bb84.codebook import Codebook, MODE_COMPRESSED
+import frame_reference as ref
+from pbc_bb84.bb84_frames import Basis, Frame, FrameClass, MeasurementRecord, sift_records
+from pbc_bb84.codebook import Codebook, MODE_COMPRESSED, is_codeword
 from pbc_bb84 import commitment_protocol as proto
 from pbc_bb84.commitment_protocol import (
     CheatStrategy,
@@ -216,6 +218,30 @@ class TestSessionConfig:
             SessionConfig(flip_prob=0.6)
         with pytest.raises(ValueError, match="x:"):
             SessionConfig(n_quarter=2, x=7)
+
+
+class TestCommitMasks:
+    @pytest.mark.parametrize("n_quarter,x,n_tol,commit_bit", [
+        (2, 6, 1, 0), (2, 6, 2, 1), (2, 3, 3, 0), (3, 20, 2, 1),
+    ])
+    def test_matches_per_frame_predicates(self, n_quarter, x, n_tol, commit_bit):
+        config = SessionConfig(
+            n_quarter=n_quarter, x=x, n_tol=n_tol, commit_bit=commit_bit,
+            seed=14, detection_prob=0.5, flip_prob=0.05,
+        )
+        cb = Codebook(n_quarter, x)
+        frames = next(proto.frame_batches(config))
+        candidate, eligible, countable = proto.commit_masks(
+            frames, sift_records(frames), config, cb
+        )
+        basis = (R, D)[commit_bit]
+        for i, frame in enumerate(itertools.islice(ref.frame_stream(config), len(frames))):
+            is_candidate = frame.classification is FrameClass.COMMITMENT_CANDIDATE
+            assert candidate[i] == is_candidate
+            assert eligible[i] == (
+                is_candidate and is_codeword(cb, frame.outcomes_in_basis(basis))
+            )
+            assert countable[i] == ref.threshold_ok(frame, n_tol)
 
 
 class TestRunSession:
