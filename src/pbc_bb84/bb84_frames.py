@@ -4,31 +4,25 @@ Bob prepares polarized pulses, a loss+flip channel stands in for the
 optics, Alice measures in random bases, and detected signals are grouped
 into 4N-signal frames.  All randomness flows from explicit seeds through
 numpy's default generator (PCG64), so identical seeds give bit-identical
-streams.  Pulses and detected records are numpy structured arrays (basis
-0 is rectilinear, 1 diagonal), frames an ``(n_frames, 4N)`` view of the
-records, classification and sifting per-frame masks.  ``Frame`` and
-``MeasurementRecord`` are the protocol layer's object form of one frame.
+streams.  Pulses and detected records are numpy structured arrays, frames
+an ``(n_frames, 4N)`` view of the records, classification and sifting
+per-frame masks.  A basis is an int code: 0 is rectilinear, 1 diagonal.
+A ``RECORD`` row is the one frame format from the channel to Bob's
+verdict.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-class Basis(enum.Enum):
-    RECTILINEAR = "rect"
-    DIAGONAL = "diag"
 
 
 class FrameClass(enum.Enum):
     COMMITMENT_CANDIDATE = "commitment_candidate"
     NORMAL = "normal"
 
-
-_BASES = (Basis.RECTILINEAR, Basis.DIAGONAL)
 
 #: Bob's prepared signals: (basis, bit) selects one of the four
 #: polarization states.
@@ -58,42 +52,6 @@ class ChannelModel:
             raise ValueError("detection_prob must lie in (0, 1]")
         if not 0.0 <= self.flip_prob < 0.5:
             raise ValueError("flip_prob must lie in [0, 0.5)")
-
-
-@dataclass(slots=True)
-class MeasurementRecord:
-    """One detected signal as Alice sees it.
-
-    ``ground_truth`` holds Bob's (basis, bit) for the verifier's counts and
-    for test oracles only; agents' decision logic never reads it.
-    """
-
-    index: int
-    alice_basis: Basis
-    outcome: int
-    ground_truth: tuple[Basis, int]
-
-
-@dataclass(slots=True)
-class Frame:
-    """Exactly 4N consecutive detected signals with a commitment-frame
-    classification (candidate iff Alice's bases split exactly 2N/2N)."""
-
-    records: list[MeasurementRecord]
-    classification: FrameClass = field(default=FrameClass.NORMAL)
-
-    @classmethod
-    def from_row(cls, row: np.ndarray, classification: FrameClass) -> "Frame":
-        """Object form of one row of :func:`assemble_frames`."""
-        records = [
-            MeasurementRecord(i, _BASES[a], o, (_BASES[b], bit))
-            for i, a, o, b, bit in row.tolist()
-        ]
-        return cls(records, classification)
-
-    def outcomes_in_basis(self, basis: Basis) -> tuple[int, ...]:
-        """Outcome bits of records measured in ``basis``, in record order."""
-        return tuple(r.outcome for r in self.records if r.alice_basis is basis)
 
 
 def prepare_pulses(count: int, rng_seed: int) -> np.ndarray:
@@ -174,6 +132,7 @@ def export_stream(
 ) -> dict:
     """Structured JSON document for one preparation-phase run."""
     classes = [FrameClass.NORMAL.value, FrameClass.COMMITMENT_CANDIDATE.value]
+    bases = ("rect", "diag")
     candidate = classify_frame(frames, frames.shape[1] // 4)
     doc = {
         "record_count": len(records),
@@ -185,7 +144,7 @@ def export_stream(
     }
     if include_records:
         doc["records"] = [
-            {"index": i, "alice_basis": _BASES[a].value, "outcome": o}
+            {"index": i, "alice_basis": bases[a], "outcome": o}
             for i, a, o, _, _ in records.tolist()
         ]
     return doc

@@ -1,11 +1,15 @@
 """Commit / unveil / verify state machines between Alice, Bob and the two
 trusted relays P0 and P1.
 
-A session is a deterministic single-threaded loop over the frame stream:
+A session is a deterministic single-threaded loop over batches of frames:
 Normal frames distill one-time-pad key into two per-channel buffers,
 commitment frames (when their outcome substring is a codeword) send an
 OTP-encrypted payload to each relay, and after the waiting-time schedule
 elapses the relays cross-check and Bob verifies against his ground truth.
+A frame is one row of ``bb84_frames.RECORD`` records from the channel to
+the verdict, and a basis an int code (0 rectilinear, committing bit 0; 1
+diagonal, committing bit 1); Bob verifies all of a session's commitments
+in one call, on their rows.
 """
 
 from __future__ import annotations
@@ -20,11 +24,7 @@ import numpy as np
 from . import bb84_frames, math_core
 from .bb84_frames import (
     RECORD,
-    Basis,
     ChannelModel,
-    Frame,
-    FrameClass,
-    MeasurementRecord,
     assemble_frames,
     distill,
     prepare_pulses,
@@ -59,6 +59,18 @@ class Verdict(enum.Enum):
     ACCEPT0 = "accept0"
     ACCEPT1 = "accept1"
     REJECT = "reject"
+
+
+#: Verdict code b accepts bit b; code 2 rejects.
+_VERDICTS = (Verdict.ACCEPT0, Verdict.ACCEPT1, Verdict.REJECT)
+
+#: Columns of the count array of :func:`compute_verification_counts`, and
+#: their keys in the transcript.
+COUNT_FIELDS = ("n_rect", "n_diag", "n_err_rect", "n_err_diag")
+
+#: Sessions expected to draw more pulses than this are refused: at the
+#: simulator's speed they could not finish.
+MAX_PULSES = 2**30
 
 
 class CheatStrategy(enum.Enum):
@@ -122,43 +134,6 @@ class CommitMessage:
     key_offset: int
 
 
-@dataclass(frozen=True)
-class VerificationCounts:
-    n_rect: int
-    n_diag: int
-    n_err_rect: int
-    n_err_diag: int
-
-    def __post_init__(self):
-        if self.n_err_rect > self.n_rect or self.n_err_diag > self.n_diag:
-            raise ValueError("error counts cannot exceed same-basis counts")
-
-
-@dataclass(frozen=True)
-class UnveilSchedule:
-    """Waiting-time bookkeeping: every channel's decryption waits out its
-    configured duration and all unveilings land on one global epoch."""
-
-    waits: dict
-    send_times: dict
-    epoch: int
-
-    def __post_init__(self):
-        for (frame_id, channel), t in self.send_times.items():
-            if self.epoch < t + self.waits[channel]:
-                raise ValueError(
-                    f"epoch {self.epoch} precedes completion of "
-                    f"frame {frame_id} on {channel}"
-                )
-
-    @classmethod
-    def build(cls, waits: dict, send_times: dict) -> "UnveilSchedule":
-        epoch = max(
-            (t + waits[ch] for (_, ch), t in send_times.items()), default=0
-        )
-        return cls(waits=waits, send_times=send_times, epoch=epoch)
-
-
 def otp_encrypt(plaintext: Bits, buffer: KeyBuffer) -> tuple[Bits, int]:
     """XOR with the next unspent key bits; consumes them atomically."""
     key, offset = buffer.consume(len(plaintext))
@@ -171,12 +146,8 @@ def otp_decrypt(ciphertext: Bits, buffer: KeyBuffer, key_offset: int) -> Bits:
     return tuple(c ^ k for c, k in zip(ciphertext, key))
 
 
-def _basis_for_bit(bit: int) -> Basis:
-    return Basis.RECTILINEAR if bit == 0 else Basis.DIAGONAL
-
-
 def try_commit(
-    frame: Frame,
+    row: np.ndarray,
     bit: int,
     cb: Codebook,
     buffer_p0: KeyBuffer,
@@ -184,19 +155,20 @@ def try_commit(
     frame_id: int = 0,
     mode: str = MODE_RAW,
 ) -> tuple[CommitMessage, CommitMessage] | None:
-    """Attempt to commit ``bit`` in a commitment-candidate frame.
+    """Attempt to commit ``bit`` in a commitment-candidate frame, a
+    ``(4N,)`` row of records.
 
-    The 2N outcomes measured in the bit-selected basis (rectilinear for 0,
-    diagonal for 1) must form a codeword; otherwise None is returned and
-    the frame falls back to Normal handling.  Key is checked on both
-    channels before either buffer is touched, so a failed attempt never
-    half-consumes pad.
+    The 2N outcomes measured in basis ``bit`` (rectilinear for 0, diagonal
+    for 1) must form a codeword; otherwise None is returned and the frame
+    falls back to Normal handling.  Key is checked on both channels before
+    either buffer is touched, so a failed attempt never half-consumes pad.
     """
-    if frame.classification is not FrameClass.COMMITMENT_CANDIDATE:
+    alice = row["alice_basis"]
+    if 2 * np.count_nonzero(alice == 0) != len(row):
         raise ValueError("frame is not a commitment candidate")
     if bit not in (0, 1):
         raise ValueError("commit bit must be 0 or 1")
-    substring = frame.outcomes_in_basis(_basis_for_bit(bit))
+    substring = tuple(row["outcome"][alice == bit].tolist())
     if not is_codeword(cb, substring):
         return None
     payload = payload_bits(cb, substring, bit, mode)
@@ -221,72 +193,65 @@ def relay_consistency_check(payload0: Bits | None, payload1: Bits | None) -> boo
 
 
 def compute_verification_counts(
-    records: list[MeasurementRecord],
-    disclosure: list[Basis],
-    payload_substring: Bits,
-) -> VerificationCounts:
+    rows: np.ndarray, disclosure: np.ndarray, payloads: np.ndarray
+) -> np.ndarray:
     """Same-basis counts and payload-vs-sent-bit error counts per basis.
 
-    For each basis, the payload is aligned onto the positions disclosed in
-    that basis (record order); errors are counted at positions where Bob
+    ``rows`` holds ``(n, 4N)`` records, ``disclosure`` the ``(n, 4N)``
+    basis codes Alice discloses and ``payloads`` ``(n, L)`` bits; the
+    result is an ``(n, 4)`` int array with columns :data:`COUNT_FIELDS`.
+    For each basis, a row's payload is aligned onto the positions disclosed
+    in that basis (record order); errors are counted at positions where Bob
     also prepared in that basis.  A basis whose disclosed position count
     does not match the payload length gets an error count equal to its
     same-basis count (nothing verifiable).
     """
-    counts = {}
-    for basis in (Basis.RECTILINEAR, Basis.DIAGONAL):
-        positions = [i for i, b in enumerate(disclosure) if b is basis]
-        same = [
-            (j, i) for j, i in enumerate(positions)
-            if records[i].ground_truth[0] is basis
-        ]
-        n_basis = len(same)
-        if len(positions) == len(payload_substring):
-            errs = sum(
-                1 for j, i in same
-                if payload_substring[j] != records[i].ground_truth[1]
-            )
-        else:
-            errs = n_basis
-        counts[basis] = (n_basis, errs)
-    return VerificationCounts(
-        n_rect=counts[Basis.RECTILINEAR][0],
-        n_diag=counts[Basis.DIAGONAL][0],
-        n_err_rect=counts[Basis.RECTILINEAR][1],
-        n_err_diag=counts[Basis.DIAGONAL][1],
-    )
+    disclosure, payloads = np.asarray(disclosure), np.asarray(payloads)
+    counts = np.empty((len(rows), 4), np.int64)
+    for basis in (0, 1):
+        disclosed = disclosure == basis
+        same = disclosed & (rows["bob_basis"] == basis)
+        aligned = np.count_nonzero(disclosed, axis=1) == payloads.shape[1]
+        claimed = np.zeros(disclosure.shape, payloads.dtype)
+        # an aligned row has exactly L disclosed positions, filled in order
+        claimed[disclosed & aligned[:, None]] = payloads[aligned].ravel()
+        wrong = (claimed != rows["bob_bit"]) | ~aligned[:, None]
+        counts[:, basis] = np.count_nonzero(same, axis=1)
+        counts[:, 2 + basis] = np.count_nonzero(same & wrong, axis=1)
+    return counts
 
 
 def bob_verify(
-    records: list[MeasurementRecord],
-    disclosure: list[Basis],
-    payload_substring: Bits,
+    rows: np.ndarray,
+    disclosure: np.ndarray,
+    payloads: np.ndarray,
     n_tol: int,
     e_tol: float,
     claimed_bit: int | None = None,
-) -> tuple[Verdict, VerificationCounts]:
-    """Bob's acceptance decision after the relays agree.
+) -> tuple[list[Verdict], np.ndarray]:
+    """Bob's acceptance decision on each row, after the relays agree.
 
-    Accept0 needs n_rect >= n_tol, n_diag >= n_tol, the payload aligned on
-    the rectilinear-disclosed positions, and at most e_tol * n_tol errors
+    Arguments are as for :func:`compute_verification_counts`.  Accept0
+    needs n_rect >= n_tol, n_diag >= n_tol, the payload aligned on the
+    rectilinear-disclosed positions, and at most e_tol * n_tol errors
     against Bob's sent bits there; Accept1 symmetrically on the diagonal
     side.  With ``claimed_bit`` set only that branch is evaluated (Alice's
-    unveiling names the bit); otherwise 0 is tried before 1.
+    unveiling names the bit); otherwise 0 is tried before 1.  Returns one
+    verdict per row and the ``(n, 4)`` counts.
     """
-    counts = compute_verification_counts(records, disclosure, payload_substring)
-    threshold = e_tol * n_tol
-    candidates = (0, 1) if claimed_bit is None else (claimed_bit,)
-    for bit in candidates:
-        basis = _basis_for_bit(bit)
-        positions = [i for i, b in enumerate(disclosure) if b is basis]
-        if len(positions) != len(payload_substring):
-            continue
-        n_basis = counts.n_rect if bit == 0 else counts.n_diag
-        n_other = counts.n_diag if bit == 0 else counts.n_rect
-        errs = counts.n_err_rect if bit == 0 else counts.n_err_diag
-        if n_basis >= n_tol and n_other >= n_tol and errs <= threshold:
-            return (Verdict.ACCEPT0 if bit == 0 else Verdict.ACCEPT1), counts
-    return Verdict.REJECT, counts
+    disclosure, payloads = np.asarray(disclosure), np.asarray(payloads)
+    counts = compute_verification_counts(rows, disclosure, payloads)
+    aligned = np.stack(
+        [np.count_nonzero(disclosure == basis, axis=1) for basis in (0, 1)], axis=1
+    ) == payloads.shape[1]
+    passes = (
+        aligned
+        & (counts[:, 2:] <= e_tol * n_tol)
+        & (counts[:, :2].min(axis=1) >= n_tol)[:, None]
+    )
+    bits = (0, 1) if claimed_bit is None else (claimed_bit,)
+    codes = np.select([passes[:, bit] for bit in bits], bits, default=2)
+    return [_VERDICTS[c] for c in codes.tolist()], counts
 
 
 #: Python types that carry each annotated JSON type of
@@ -330,9 +295,6 @@ class SessionConfig:
                 raise ValueError(f"{f.name}: must be of type {f.type}")
         if self.n_quarter < 1:
             raise ValueError("n_quarter: must be >= 1")
-        cap = math.comb(2 * self.n_quarter, self.n_quarter)
-        if not 0 <= self.x <= cap:
-            raise ValueError(f"x: must lie in [0, C(2N,N)={cap}]")
         if self.commit_bit not in (0, 1):
             raise ValueError("commit_bit: must be 0 or 1")
         if self.frame_budget < 1:
@@ -353,13 +315,29 @@ class SessionConfig:
             raise ValueError("wait_p0/wait_p1: must be non-negative")
         if self.payload_mode not in PAYLOAD_MODES:
             raise ValueError(f"payload_mode: must be one of {PAYLOAD_MODES}")
+        # expected pulses frame_budget * 4N / detection_prob, compared
+        # without a division that could overflow a float; checked before
+        # C(2N,N), whose cost grows with N
+        if self.frame_budget * 4 * self.n_quarter > MAX_PULSES * self.detection_prob:
+            raise ValueError(
+                "frame_budget * 4N / detection_prob: expected pulse count "
+                "above 2^30"
+            )
+        cap = math.comb(2 * self.n_quarter, self.n_quarter)
+        if not 0 <= self.x <= cap:
+            raise ValueError(f"x: must lie in [0, C(2N,N)={cap}]")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SessionConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        doc = dict(doc)
+        for name, value in doc.items():
+            # the schema's integer type admits integral numbers such as 1.0
+            if types[name].startswith("int") and isinstance(value, float) and value.is_integer():
+                doc[name] = int(value)
         return cls(**doc)
 
     def to_dict(self) -> dict:
@@ -396,17 +374,6 @@ def frame_batches(
         pending = pending[frames.size :]
         yield frames if budget is None else frames[: budget - first_id]
         first_id += len(frames)
-
-
-def frame_stream(config: SessionConfig) -> Iterator[tuple[int, Frame]]:
-    """Unbounded deterministic stream of (frame_id, frame) objects."""
-    frame_id = 0
-    for frames in frame_batches(config):
-        candidate = bb84_frames.classify_frame(frames, config.n_quarter)
-        for row, c in zip(frames, candidate.tolist()):
-            cls = FrameClass.COMMITMENT_CANDIDATE if c else FrameClass.NORMAL
-            yield frame_id, Frame.from_row(row, cls)
-            frame_id += 1
 
 
 def commit_masks(
@@ -473,7 +440,8 @@ def run_session(config: SessionConfig) -> SessionTranscript:
 
     Each batch of frames is classified, sifted and distilled at once; only
     eligible frames are visited one by one, since whether one commits
-    depends on the key distilled before it.
+    depends on the key distilled before it.  Bob verifies every committed
+    frame whose relays agree in one call.
     """
     cb = Codebook(config.n_quarter, config.x)
     rate = max(0.0, math_core.final_key_rate(config.q_tol))
@@ -481,7 +449,8 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     toggle = 0
 
     transcript = SessionTranscript(config=config.to_dict())
-    pending_unveil = []  # (frame, msg0, msg1, send_time)
+    pending_unveil = []  # (msg0, msg1, send_time)
+    committed = []  # each batch's rows of committing frames
 
     for frames in frame_batches(config, config.frame_budget):
         first_id = transcript.frames_total
@@ -491,7 +460,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
         key = frames["outcome"][credited]
         # key[key_start[i]:key_start[i + 1]] are the bits frame i credits
         key_start = [0, *np.cumsum(np.count_nonzero(credited, axis=1)).tolist()]
-        transcript.sifted_bits += int(np.count_nonzero(sifted))
+        commits = np.zeros(len(frames), bool)
         start = 0  # the first frame whose key is not dealt yet
         for i in np.flatnonzero(eligible).tolist():
             if pending_unveil and not config.commit_all:
@@ -501,10 +470,9 @@ def run_session(config: SessionConfig) -> SessionTranscript:
                 continue
             toggle = _deal_key(key[key_start[start] : key_start[i]], buffers, toggle)
             start = i
-            frame = Frame.from_row(frames[i], FrameClass.COMMITMENT_CANDIDATE)
             try:
                 msg0, msg1 = try_commit(
-                    frame, config.commit_bit, cb,
+                    frames[i], config.commit_bit, cb,
                     buffers[CHANNEL_P0], buffers[CHANNEL_P1],
                     frame_id=first_id + i, mode=config.payload_mode,
                 )
@@ -515,11 +483,13 @@ def run_session(config: SessionConfig) -> SessionTranscript:
                 ct = list(msg1.payload_ciphertext)
                 ct[config.tamper_p1_bit % len(ct)] ^= 1
                 msg1 = replace(msg1, payload_ciphertext=tuple(ct))
-            pending_unveil.append((frame, msg0, msg1, first_id + i))
+            pending_unveil.append((msg0, msg1, first_id + i))
             # a committing frame distills nothing
+            commits[i] = True
             start = i + 1
-            transcript.sifted_bits -= int(np.count_nonzero(sifted[i]))
         toggle = _deal_key(key[key_start[start] :], buffers, toggle)
+        committed.append(frames[commits])
+        transcript.sifted_bits += int(np.count_nonzero(sifted[~commits]))
         transcript.frames_total += len(frames)
         transcript.candidate_frames += int(np.count_nonzero(candidate))
         transcript.eligible_frames += int(np.count_nonzero(eligible))
@@ -528,19 +498,20 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     if pending_unveil:
         waits = {CHANNEL_P0: config.wait_p0, CHANNEL_P1: config.wait_p1}
         send_times = {}
-        for _, msg0, msg1, t in pending_unveil:
+        for msg0, msg1, t in pending_unveil:
             send_times[(msg0.frame_id, CHANNEL_P0)] = t
             send_times[(msg1.frame_id, CHANNEL_P1)] = t
-        schedule = UnveilSchedule.build(waits, send_times)
         transcript.schedule = {
             "waits": waits,
             "send_times": {
                 f"{fid}:{ch}": t for (fid, ch), t in send_times.items()
             },
-            "epoch": schedule.epoch,
+            # every unveiling lands on one epoch, after the last wait ends
+            "epoch": max(t + waits[ch] for (_, ch), t in send_times.items()),
         }
 
-        for frame, msg0, msg1, _ in pending_unveil:
+        checked, substrings = [], []  # entries whose relays agree, payloads
+        for msg0, msg1, _ in pending_unveil:
             payload0 = otp_decrypt(
                 msg0.payload_ciphertext, buffers[CHANNEL_P0], msg0.key_offset
             )
@@ -561,26 +532,31 @@ def run_session(config: SessionConfig) -> SessionTranscript:
                 ],
                 "relay_consistent": consistent,
             }
-            if not consistent:
-                entry["verdict"] = Verdict.REJECT.value
-                entry["counts"] = None
-            else:
+            if consistent:
                 substring, _basis_flag = decode_payload(
                     cb, payload0, config.payload_mode
                 )
-                disclosure = [r.alice_basis for r in frame.records]
-                verdict, counts = bob_verify(
-                    frame.records, disclosure, substring,
-                    config.n_tol, config.e_tol,
-                    claimed_bit=config.commit_bit,
-                )
-                entry["verdict"] = verdict.value
-                entry["counts"] = asdict(counts)
+                checked.append(entry)
+                substrings.append(substring)
+            else:
+                entry["verdict"] = Verdict.REJECT.value
+                entry["counts"] = None
             transcript.commitments.append(entry)
+
+        rows = np.concatenate(committed)[
+            [entry["relay_consistent"] for entry in transcript.commitments]
+        ]
+        verdicts, counts = bob_verify(
+            rows, rows["alice_basis"], np.array(substrings).reshape(-1, cb.length),
+            config.n_tol, config.e_tol, claimed_bit=config.commit_bit,
+        )
+        for entry, verdict, row in zip(checked, verdicts, counts.tolist()):
+            entry["verdict"] = verdict.value
+            entry["counts"] = dict(zip(COUNT_FIELDS, row))
 
         first = transcript.commitments[0]
         transcript.verdict = first["verdict"]
-        accept = Verdict.ACCEPT0.value if config.commit_bit == 0 else Verdict.ACCEPT1.value
+        accept = _VERDICTS[config.commit_bit].value
         transcript.status = "accept" if first["verdict"] == accept else "reject"
 
     transcript.key_ledger = {
@@ -607,31 +583,22 @@ def simulate_cheating_alice(
     if not isinstance(strategy, CheatStrategy):
         raise ValueError(f"unknown strategy {strategy!r}")
     cb = Codebook(config.n_quarter, config.x)
-    commit_basis = _basis_for_bit(config.commit_bit)
-    flip = {
-        Basis.RECTILINEAR: Basis.DIAGONAL,
-        Basis.DIAGONAL: Basis.RECTILINEAR,
-    }
     succ = [0, 0]
     done = 0
     for frames in frame_batches(config):
         _, eligible, countable = commit_masks(
             frames, sift_records(frames), config, cb
         )
-        for row in frames[eligible & countable]:
-            frame = Frame.from_row(row, FrameClass.COMMITMENT_CANDIDATE)
-            substring = frame.outcomes_in_basis(commit_basis)
-            honest = [r.alice_basis for r in frame.records]
-            flipped = [flip[b] for b in honest]
-            for target in (0, 1):
-                disclosure = honest if target == config.commit_bit else flipped
-                verdict, _ = bob_verify(
-                    frame.records, disclosure, substring,
-                    config.n_tol, config.e_tol, claimed_bit=target,
-                )
-                wanted = Verdict.ACCEPT0 if target == 0 else Verdict.ACCEPT1
-                if verdict is wanted:
-                    succ[target] += 1
-            done += 1
-            if done >= trials:
-                return succ[0] / trials, succ[1] / trials
+        rows = frames[eligible & countable][: trials - done]
+        honest = rows["alice_basis"]
+        substrings = rows["outcome"][honest == config.commit_bit].reshape(-1, cb.length)
+        for target in (0, 1):
+            disclosure = honest if target == config.commit_bit else 1 - honest
+            verdicts, _ = bob_verify(
+                rows, disclosure, substrings,
+                config.n_tol, config.e_tol, claimed_bit=target,
+            )
+            succ[target] += verdicts.count(_VERDICTS[target])
+        done += len(rows)
+        if done >= trials:
+            return succ[0] / trials, succ[1] / trials

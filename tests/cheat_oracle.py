@@ -13,11 +13,11 @@ acceptance criterion 10 holds to 1 + eps_b.  Swapping the two bases turns
 a commitment to 1 into this case, so bit 0 covers both.
 
 ``best_unveiling`` scores every labelling of one frame by running
-``bob_verify`` on every completion of the bits Alice does not know; it is
-the reference.  ``best_chances`` computes the same maximum for every frame
-with given Alice bases at once, and ``cheat_advantage`` averages it over
-all committed frames, which is exact because bases, bits and coins are
-uniform.
+``bob_verify`` on every completion of the bits Alice does not know, all in
+one call; it is the reference.  ``best_chances`` computes the same maximum
+for every frame with given Alice bases at once, and ``cheat_advantage``
+averages it over all committed frames, which is exact because bases, bits
+and coins are uniform.
 
 ``PYTHONPATH=src python tests/cheat_oracle.py`` prints ``cheat_advantage``
 for N = 1 and N = 2 beside both eps_b variants.
@@ -29,44 +29,33 @@ import math
 import numpy as np
 
 from pbc_bb84 import math_core as mc
-from pbc_bb84.bb84_frames import Basis, MeasurementRecord
 from pbc_bb84.codebook import Codebook, is_codeword
 from pbc_bb84.commitment_protocol import Verdict, bob_verify
 
-#: Basis index i is the basis in which bit i is committed.
-BASES = (Basis.RECTILINEAR, Basis.DIAGONAL)
 
-
-def best_unveiling(records, payload, claimed_bit, n_tol, e_tol) -> float:
+def best_unveiling(row, payload, claimed_bit, n_tol, e_tol) -> float:
     """Alice's best chance that ``bob_verify`` accepts ``claimed_bit``.
 
-    Every labelling of the frame is tried; each is scored by the share of
-    completions of Bob's bits unknown to Alice that Bob accepts.
+    ``row`` is one frame of records.  Every labelling of the frame (basis
+    codes, 0 rectilinear and 1 diagonal) is tried; each is scored by the
+    share of completions of Bob's bits unknown to Alice that Bob accepts.
     """
-    unknown = [
-        i for i, r in enumerate(records) if r.alice_basis is not r.ground_truth[0]
-    ]
-    completions = []
-    for bits in itertools.product((0, 1), repeat=len(unknown)):
-        completion = list(records)
-        for i, bit in zip(unknown, bits):
-            r = completion[i]
-            completion[i] = MeasurementRecord(
-                r.index, r.alice_basis, r.outcome, (r.ground_truth[0], bit)
-            )
-        completions.append(completion)
+    unknown = np.flatnonzero(row["alice_basis"] != row["bob_basis"])
+    completions = np.repeat(row[None], 2 ** len(unknown), axis=0)
+    completions["bob_bit"][:, unknown] = list(
+        itertools.product((0, 1), repeat=len(unknown))
+    )
+    labellings = np.array(list(itertools.product((0, 1), repeat=len(row))))
+    # one row per (labelling, completion), labellings varying slowest
+    verdicts, _ = bob_verify(
+        np.tile(completions, (len(labellings), 1)),
+        np.repeat(labellings, len(completions), axis=0),
+        np.tile(payload, (len(labellings) * len(completions), 1)),
+        n_tol, e_tol, claimed_bit=claimed_bit,
+    )
     wanted = Verdict.ACCEPT0 if claimed_bit == 0 else Verdict.ACCEPT1
-    best = 0.0
-    for disclosure in itertools.product(BASES, repeat=len(records)):
-        accepted = sum(
-            bob_verify(
-                completion, list(disclosure), payload, n_tol, e_tol,
-                claimed_bit=claimed_bit,
-            )[0] is wanted
-            for completion in completions
-        )
-        best = max(best, accepted / len(completions))
-    return best
+    accepted = np.reshape([v is wanted for v in verdicts], (len(labellings), -1))
+    return accepted.sum(axis=1).max() / len(completions)
 
 
 def best_chances(alice, bob, words, outcomes, cases) -> list:

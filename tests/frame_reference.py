@@ -6,23 +6,25 @@ batches: one ``Pulse`` object per prepared signal, one
 and per-frame classification, sifting, distillation and the count
 threshold in Python loops.  It draws from the generator in the same order
 as ``bb84_frames``, so the two pipelines must agree record for record and
-frame for frame.
+frame for frame.  Its record and frame types are its own; the package
+holds frames only as rows of ``bb84_frames.RECORD``.
 """
 
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from pbc_bb84.bb84_frames import (
-    Basis,
-    ChannelModel,
-    Frame,
-    FrameClass,
-    MeasurementRecord,
-)
+from pbc_bb84.bb84_frames import ChannelModel, FrameClass
+
+
+class Basis(enum.Enum):
+    RECTILINEAR = "rect"
+    DIAGONAL = "diag"
+
 
 _BASES = (Basis.RECTILINEAR, Basis.DIAGONAL)
 
@@ -35,6 +37,30 @@ class Pulse:
     index: int
     basis: Basis
     bit: int
+
+
+@dataclass(slots=True)
+class MeasurementRecord:
+    """One detected signal as Alice sees it, with Bob's (basis, bit) as
+    ``ground_truth``."""
+
+    index: int
+    alice_basis: Basis
+    outcome: int
+    ground_truth: tuple[Basis, int]
+
+
+@dataclass(slots=True)
+class Frame:
+    """Exactly 4N consecutive detected signals with a commitment-frame
+    classification (candidate iff Alice's bases split exactly 2N/2N)."""
+
+    records: list[MeasurementRecord]
+    classification: FrameClass = field(default=FrameClass.NORMAL)
+
+    def outcomes_in_basis(self, basis: Basis) -> tuple[int, ...]:
+        """Outcome bits of records measured in ``basis``, in record order."""
+        return tuple(r.outcome for r in self.records if r.alice_basis is basis)
 
 
 def prepare_pulses(count: int, rng_seed: int) -> list[Pulse]:

@@ -28,7 +28,7 @@ from pbc_bb84 import codebook as cbk
 from pbc_bb84 import commitment_protocol as cp
 from pbc_bb84 import math_core as mc
 from pbc_bb84 import relay_routing as rr
-from pbc_bb84.bb84_frames import FrameClass
+from pbc_bb84.bb84_frames import classify_frame
 
 
 def report(number, ok, detail):
@@ -106,12 +106,11 @@ def test_03_commit_probability_exact_and_monte_carlo():
     cb = cbk.Codebook(2, 6)
     config = cp.SessionConfig(n_quarter=2, x=6, seed=101, frame_budget=n_frames)
     eligible = 0
-    for frame_id, frame in cp.frame_stream(config):
-        if frame_id >= n_frames:
-            break
-        if frame.classification is FrameClass.COMMITMENT_CANDIDATE:
-            if cbk.is_codeword(cb, frame.outcomes_in_basis(cp._basis_for_bit(0))):
-                eligible += 1
+    for frames in cp.frame_batches(config, n_frames):
+        candidates = frames[classify_frame(frames, 2)]
+        # each candidate's 2N rectilinear outcomes, in record order
+        substrings = candidates["outcome"][candidates["alice_basis"] == 0].reshape(-1, 4)
+        eligible += sum(cbk.is_codeword(cb, tuple(s)) for s in substrings.tolist())
     p = 420 / 4096
     sigma = math.sqrt(p * (1 - p) / n_frames)
     deviation = abs(eligible / n_frames - p)

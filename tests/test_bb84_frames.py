@@ -205,8 +205,6 @@ class TestMatchesReference:
         batches = list(cp.frame_batches(config, budget))
         frames = np.concatenate(batches)
         assert len(frames) == budget
-        objects = itertools.islice(cp.frame_stream(config), budget)
-        assert [frame for _, frame in objects] == expected
         candidate = classify_frame(frames, config.n_quarter)
         sifted = sift_records(frames)
         credited = distill(sifted, rate)

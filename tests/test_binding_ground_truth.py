@@ -17,7 +17,7 @@ import pytest
 
 import cheat_oracle as oracle
 from pbc_bb84 import commitment_protocol as cp
-from pbc_bb84.bb84_frames import FrameClass, MeasurementRecord
+from pbc_bb84.bb84_frames import RECORD, classify_frame
 from pbc_bb84.codebook import Codebook, is_codeword
 
 N_TOLS = (2, 3, 4)
@@ -41,14 +41,11 @@ def committed_views(n_tol):
             n_rr = sum(a == b == 0 for a, b in zip(alice, bob))
             n_dd = sum(a == b == 1 for a, b in zip(alice, bob))
             if is_codeword(cb, payload) and min(n_rr, n_dd) >= n_tol:
-                records = [
-                    MeasurementRecord(
-                        i, oracle.BASES[alice[i]], outcomes[i],
-                        (oracle.BASES[bob[i]], outcomes[i]),
-                    )
-                    for i in range(4)
-                ]
-                yield records, payload
+                row = np.zeros(4, RECORD)
+                row["index"] = np.arange(4)
+                row["alice_basis"], row["bob_basis"] = alice, bob
+                row["outcome"] = row["bob_bit"] = outcomes
+                yield row, payload
 
 
 @pytest.mark.parametrize("n_tol,e_tol", [(1, 0.0), (2, 0.0), (2, 0.45)])
@@ -65,26 +62,23 @@ def test_enumeration_matches_bob_verify_on_simulated_frames():
     config = cp.SessionConfig(n_quarter=2, x=6, seed=4)
     cb = Codebook(2, 6)
     cases = [(2, 0.25), (3, 0.34), (4, 0.0)]
-    checked = 0
-    for _, frame in cp.frame_stream(config):
-        payload = frame.outcomes_in_basis(oracle.BASES[0])
-        if (
-            frame.classification is not FrameClass.COMMITMENT_CANDIDATE
-            or not is_codeword(cb, payload)
-        ):
-            continue
-        alice = [oracle.BASES.index(r.alice_basis) for r in frame.records]
-        bob = [oracle.BASES.index(r.ground_truth[0]) for r in frame.records]
-        outcomes = [r.outcome for r in frame.records]
-        fast = oracle.best_chances(alice, [bob], [payload], [outcomes], cases)
+
+    def committed():
+        for frames in cp.frame_batches(config):
+            for row in frames[classify_frame(frames, 2)]:
+                payload = tuple(row["outcome"][row["alice_basis"] == 0].tolist())
+                if is_codeword(cb, payload):
+                    yield row, payload
+
+    for row, payload in itertools.islice(committed(), 8):
+        fast = oracle.best_chances(
+            row["alice_basis"], [row["bob_basis"]], [payload], [row["outcome"]], cases
+        )
         for (n_tol, e_tol), best in zip(cases, fast):
             assert best[0, 0, 0] == pytest.approx(
-                oracle.best_unveiling(frame.records, payload, 1, n_tol, e_tol),
+                oracle.best_unveiling(row, payload, 1, n_tol, e_tol),
                 rel=1e-12,
             )
-        checked += 1
-        if checked == 8:
-            break
 
 
 def test_best_cheat_falls_at_fixed_allowance_and_rises_where_it_steps():

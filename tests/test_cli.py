@@ -1,12 +1,18 @@
 import csv
 import json
+import math
+import time
+from dataclasses import fields
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pbc_bb84 import cli
 from pbc_bb84 import math_core as mc
+from pbc_bb84.commitment_protocol import SessionConfig
 
 
 def load_schema(name):
@@ -158,6 +164,28 @@ class TestSimulate:
         )
         assert run_cli(["simulate", "--config", str(cfg)]) == 64
 
+    def test_integral_float_is_an_integer(self, tmp_path):
+        # the schema's integer type admits 1.0
+        outputs = []
+        for seed in (1, 1.0):
+            cfg = self.write_config(tmp_path, seed=seed)
+            out = tmp_path / f"{seed!r}.json"
+            assert run_cli(["simulate", "--config", str(cfg), "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("overrides", [
+        {"detection_prob": 1e-6},  # 1.6e9 expected pulses at 200 frames
+        {"frame_budget": 10**12},
+    ])
+    def test_session_that_cannot_finish(self, tmp_path, capsys, overrides):
+        cfg = self.write_config(tmp_path, **overrides)
+        start = time.perf_counter()
+        assert run_cli(["simulate", "--config", str(cfg)]) == 64
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2^30" in err
+
     def test_unknown_field(self, tmp_path):
         cfg = self.write_config(tmp_path, not_a_field=1)
         assert run_cli(["simulate", "--config", str(cfg)]) == 64
@@ -237,3 +265,50 @@ class TestUsage:
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
         run_cli(["rates", "--q-steps", "1", "--p-steps", "1", "-o", "rel.csv"])
         assert (tmp_path / "rel.csv").exists()
+
+
+#: One field's value: in and out of range, integral and fractional floats,
+#: NaN, infinities, bools, huge numbers, null and strings.  Other floats stay
+#: within 1e4, where the runtime's exact C(2N, N) is cheap.
+CONFIG_VALUES = st.one_of(
+    st.integers(-100, 100),
+    st.integers(-100, 100).map(float),
+    st.floats(-1e4, 1e4),
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, -0.0, 1e-9, 2**30, 2**64, 1e300, -1e300,
+    ]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "1", "raw", "compressed"]),
+)
+
+
+def violates_cross_field_rule(name, value):
+    """Whether a numeric value of one field breaks, at the other fields'
+    defaults (N = 2, x = 6, 200 frames, detection 1), a rule the schema
+    cannot state: x <= C(2N, N), or at most 2^30 expected pulses."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        return False
+    return {
+        "n_quarter": value == 1 or 200 * 4 * value > 2**30,
+        "x": value > 6,
+        "frame_budget": value * 4 * 2 > 2**30,
+        "detection_prob": 200 * 4 * 2 > 2**30 * value > 0,
+    }.get(name, False)
+
+
+class TestConfigSchemaAgreement:
+    VALIDATOR = jsonschema.Draft202012Validator(load_schema("session_config.schema.json"))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SessionConfig)])
+    @settings(max_examples=150, deadline=None)
+    @given(value=CONFIG_VALUES)
+    def test_schema_valid_iff_runtime_accepts(self, name, value):
+        assume(not violates_cross_field_rule(name, value))
+        doc = {name: value}
+        try:
+            SessionConfig.from_dict(doc)
+            accepted = True
+        except (TypeError, ValueError):
+            accepted = False
+        assert self.VALIDATOR.is_valid(doc) == accepted

@@ -1,10 +1,11 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 import frame_reference as ref
-from pbc_bb84.bb84_frames import Basis, Frame, FrameClass, MeasurementRecord, sift_records
+from pbc_bb84.bb84_frames import RECORD, FrameClass, sift_records
 from pbc_bb84.codebook import Codebook, MODE_COMPRESSED, is_codeword
 from pbc_bb84 import commitment_protocol as proto
 from pbc_bb84.commitment_protocol import (
@@ -14,7 +15,6 @@ from pbc_bb84.commitment_protocol import (
     KeyBuffer,
     MissingPayloadError,
     SessionConfig,
-    UnveilSchedule,
     Verdict,
     bob_verify,
     otp_decrypt,
@@ -25,7 +25,7 @@ from pbc_bb84.commitment_protocol import (
     try_commit,
 )
 
-R, D = Basis.RECTILINEAR, Basis.DIAGONAL
+R, D = 0, 1  # basis codes: rectilinear, diagonal
 
 
 def make_buffer(bits):
@@ -35,20 +35,23 @@ def make_buffer(bits):
 
 
 def make_frame(alice_bases, outcomes, bob_bases=None, bob_bits=None):
-    bob_bases = bob_bases or alice_bases
-    bob_bits = bob_bits if bob_bits is not None else outcomes
-    records = [
-        MeasurementRecord(i, alice_bases[i], outcomes[i], (bob_bases[i], bob_bits[i]))
-        for i in range(len(alice_bases))
-    ]
-    n_quarter = len(records) // 4
-    rect = sum(1 for b in alice_bases if b is R)
-    cls = (
-        FrameClass.COMMITMENT_CANDIDATE
-        if rect == 2 * n_quarter
-        else FrameClass.NORMAL
-    )
-    return Frame(records, cls)
+    """One frame as a row of records; Bob's bases and bits default to
+    Alice's bases and outcomes."""
+    row = np.zeros(len(alice_bases), RECORD)
+    row["index"] = np.arange(len(row))
+    row["alice_basis"], row["outcome"] = alice_bases, outcomes
+    row["bob_basis"] = alice_bases if bob_bases is None else bob_bases
+    row["bob_bit"] = outcomes if bob_bits is None else bob_bits
+    return row
+
+
+def verify_one(frame, payload, *args, disclosure=None, **kwargs):
+    """``bob_verify`` on one frame, disclosing Alice's bases unless told
+    otherwise; returns the verdict and the counts by name."""
+    if disclosure is None:
+        disclosure = frame["alice_basis"]
+    verdicts, counts = bob_verify(frame[None], [disclosure], [payload], *args, **kwargs)
+    return verdicts[0], dict(zip(proto.COUNT_FIELDS, counts[0].tolist()))
 
 
 class TestKeyBuffer:
@@ -144,31 +147,22 @@ class TestBobVerify:
             [R, R, D, R, D, R, D, D],
             [0, 1, 0, 1, 1, 0, 0, 1],
         )  # bob mirrors alice: all same-basis, no errors
-        disclosure = [r.alice_basis for r in frame.records]
-        verdict, counts = bob_verify(
-            frame.records, disclosure, (0, 1, 1, 0), n_tol=2, e_tol=0.25
-        )
+        verdict, counts = verify_one(frame, (0, 1, 1, 0), n_tol=2, e_tol=0.25)
         assert verdict is Verdict.ACCEPT0
-        assert counts.n_rect == 4 and counts.n_diag == 4
-        assert counts.n_err_rect == 0
+        assert counts["n_rect"] == 4 and counts["n_diag"] == 4
+        assert counts["n_err_rect"] == 0
 
     def test_honest_accept1(self):
         frame = make_frame([D, D, R, D, R, D, R, R], [0, 1, 0, 1, 1, 0, 0, 1])
-        disclosure = [r.alice_basis for r in frame.records]
-        verdict, _ = bob_verify(
-            frame.records, disclosure, (0, 1, 1, 0), n_tol=2, e_tol=0.25
-        )
+        verdict, _ = verify_one(frame, (0, 1, 1, 0), n_tol=2, e_tol=0.25)
         assert verdict is Verdict.ACCEPT1
 
     def test_error_threshold(self):
         frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
-        disclosure = [r.alice_basis for r in frame.records]
         # floor(e_tol * n_tol) = 0, so one injected error must reject
-        verdict, counts = bob_verify(
-            frame.records, disclosure, (1, 1, 1, 0), n_tol=2, e_tol=0.25
-        )
+        verdict, counts = verify_one(frame, (1, 1, 1, 0), n_tol=2, e_tol=0.25)
         assert verdict is Verdict.REJECT
-        assert counts.n_err_rect == 1
+        assert counts["n_err_rect"] == 1
 
     def test_count_threshold(self):
         # only 1 same-basis rect record: n_rect = 1 < n_tol regardless of errors
@@ -177,35 +171,56 @@ class TestBobVerify:
             [0, 1, 0, 1, 1, 0, 0, 1],
             bob_bases=[R, D, D, D, D, D, D, D],
         )
-        disclosure = [r.alice_basis for r in frame.records]
-        verdict, counts = bob_verify(
-            frame.records, disclosure, (0, 1, 1, 0), n_tol=2, e_tol=0.25
-        )
+        verdict, counts = verify_one(frame, (0, 1, 1, 0), n_tol=2, e_tol=0.25)
         assert verdict is Verdict.REJECT
-        assert counts.n_rect == 1
+        assert counts["n_rect"] == 1
 
     def test_claimed_bit_restricts_branch(self):
         frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
-        disclosure = [r.alice_basis for r in frame.records]
-        verdict, _ = bob_verify(
-            frame.records, disclosure, (0, 1, 1, 0), 2, 0.25, claimed_bit=1
-        )
+        verdict, _ = verify_one(frame, (0, 1, 1, 0), 2, 0.25, claimed_bit=1)
         assert verdict in (Verdict.ACCEPT1, Verdict.REJECT)
+
+    def test_misaligned_basis_is_all_errors(self):
+        # five positions disclosed rectilinear for a 4-bit payload: every
+        # same-basis rect position counts as an error, and branch 0 is
+        # skipped; branch 1 has three diagonal positions and is skipped too
+        frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
+        disclosure = [R, R, D, R, D, R, D, R]
+        verdict, counts = verify_one(
+            frame, (0, 1, 1, 0), 1, 0.45, disclosure=disclosure
+        )
+        assert verdict is Verdict.REJECT
+        assert counts["n_err_rect"] == counts["n_rect"] == 4
+        assert counts["n_err_diag"] == counts["n_diag"] == 3
+
+    def test_rows_verified_independently(self):
+        frames = [
+            make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1]),
+            make_frame([D, D, R, D, R, D, R, R], [0, 1, 0, 1, 1, 0, 0, 1]),
+            make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1],
+                       bob_bases=[R, D, D, D, D, D, D, D]),
+        ]
+        payloads = [(0, 1, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0)]
+        rows = np.stack(frames)
+        verdicts, counts = bob_verify(rows, rows["alice_basis"], payloads, 2, 0.25)
+        for i, (frame, payload) in enumerate(zip(frames, payloads)):
+            verdict, one = verify_one(frame, payload, 2, 0.25)
+            assert verdicts[i] is verdict
+            assert counts[i].tolist() == list(one.values())
+        assert verdicts == [Verdict.ACCEPT0, Verdict.ACCEPT1, Verdict.REJECT]
 
 
 class TestUnveilSchedule:
     def test_epoch_is_global_max(self):
-        sched = UnveilSchedule.build(
-            {"p0": 3, "p1": 5},
-            {(0, "p0"): 2, (0, "p1"): 2, (4, "p0"): 6, (4, "p1"): 6},
+        transcript = run_session(
+            SessionConfig(seed=9, frame_budget=500, commit_all=True, wait_p0=7)
         )
-        assert sched.epoch == 11
-        for (fid, ch), t in sched.send_times.items():
-            assert sched.epoch >= t + sched.waits[ch]
-
-    def test_invalid_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            UnveilSchedule(waits={"p0": 3}, send_times={(0, "p0"): 2}, epoch=4)
+        sched = transcript.schedule
+        assert len(sched["send_times"]) > 2
+        assert sched["epoch"] == max(
+            t + sched["waits"][key.split(":")[1]]
+            for key, t in sched["send_times"].items()
+        )
 
 
 class TestSessionConfig:
@@ -234,7 +249,7 @@ class TestCommitMasks:
         candidate, eligible, countable = proto.commit_masks(
             frames, sift_records(frames), config, cb
         )
-        basis = (R, D)[commit_bit]
+        basis = (ref.Basis.RECTILINEAR, ref.Basis.DIAGONAL)[commit_bit]
         for i, frame in enumerate(itertools.islice(ref.frame_stream(config), len(frames))):
             is_candidate = frame.classification is FrameClass.COMMITMENT_CANDIDATE
             assert candidate[i] == is_candidate
