@@ -95,31 +95,31 @@ def cmd_binding(args) -> int:
     variants = (
         list(math_core.BINDING_VARIANTS) if args.variant == "both" else [args.variant]
     )
-    for n_tol in args.n_tol:
-        if n_tol == 1:
-            print("binding: n_tol=1 is singular and rejected", file=sys.stderr)
-            return EXIT_USAGE
+    # every row is computed before the output opens, so a rejected grid
+    # leaves no file behind
+    rows = []
+    try:
+        for p in args.p:
+            for n_tol in args.n_tol:
+                for e_tol in args.e_tol:
+                    bp = math_core.BindingParams(
+                        p_commit=p, n_tol=n_tol, e_tol=e_tol,
+                        delta_grid=args.delta_grid,
+                    )
+                    for variant in variants:
+                        eps = math_core.binding_bound(bp, variant)
+                        rows.append(
+                            [f"{p:.10g}", n_tol, f"{e_tol:.10g}", variant, f"{eps:.12g}"]
+                        )
+    except ValueError as exc:
+        print(f"binding: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     stream, close = _open_output(args.output)
     try:
         writer = csv.writer(stream)
         writer.writerow(["p", "n_tol", "e_tol", "variant", "eps_b"])
-        try:
-            for p in args.p:
-                for n_tol in args.n_tol:
-                    for e_tol in args.e_tol:
-                        bp = math_core.BindingParams(
-                            p_commit=p, n_tol=n_tol, e_tol=e_tol,
-                            delta_grid=args.delta_grid,
-                        )
-                        for variant in variants:
-                            eps = math_core.binding_bound(bp, variant)
-                            writer.writerow(
-                                [f"{p:.10g}", n_tol, f"{e_tol:.10g}", variant, f"{eps:.12g}"]
-                            )
-        except ValueError as exc:
-            print(f"binding: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        writer.writerows(rows)
     finally:
         if close:
             stream.close()

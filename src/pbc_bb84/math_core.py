@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln, logsumexp
-
 _LN2 = math.log(2.0)
 
 #: Exponent read literally as printed: (d*N - floor(E*N))^2 / (1 - N).
@@ -94,7 +92,7 @@ def log2_binom(n: int, k: int) -> float:
         raise ValueError("n must be non-negative")
     if k < 0 or k > n:
         raise ValueError(f"k={k} outside [0, {n}]")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) / _LN2
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / _LN2
 
 
 def key_rate_bound(params: RateParams) -> float:
@@ -193,7 +191,7 @@ def _floor_tol(value: float) -> int:
 
 
 def _log2_error_ball(n_tol: int, max_errors: int) -> float:
-    """log2 of 1 + sum_{k=1}^{m} (2^k - 1) * C(n_tol, k), via log-sum-exp."""
+    """log2 of 1 + sum_{k=1}^{m} (2^k - 1) * C(n_tol, k), via a max-shifted sum."""
     if max_errors <= 0:
         return 0.0
     terms = [0.0]  # the leading 1
@@ -201,7 +199,8 @@ def _log2_error_ball(n_tol: int, max_errors: int) -> float:
         # log2(2^k - 1) without forming 2^k for large k
         log2_weight = k + math.log2(1.0 - 2.0**-k)
         terms.append(log2_weight + log2_binom(n_tol, k))
-    return float(logsumexp([t * _LN2 for t in terms])) / _LN2
+    top = max(terms)
+    return top + math.log2(math.fsum(2.0 ** (t - top) for t in terms))
 
 
 def binding_bound(bp: BindingParams, variant: str = VARIANT_LITERAL) -> float:

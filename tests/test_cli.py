@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from importlib import resources
@@ -112,6 +115,20 @@ class TestBinding:
     def test_n_tol_one_rejected(self):
         assert run_cli(["binding", "--n-tol", "1"]) == 64
 
+    @pytest.mark.parametrize("grid", [
+        ["--p", "0.1", "2.0"],
+        ["--e-tol", "0.6"],
+        ["--delta-grid", "1"],
+        ["--n-tol", "0"],
+        ["--n-tol", "10", "1"],
+    ])
+    def test_invalid_grid_writes_nothing(self, tmp_path, capsys, grid):
+        out = tmp_path / "binding.csv"
+        assert run_cli(["binding", *grid, "-o", str(out)]) == 64
+        assert not out.exists()
+        assert run_cli(["binding", *grid, "-o", "-"]) == 64
+        assert capsys.readouterr().out == ""
+
 
 class TestSimulate:
     def write_config(self, tmp_path, **overrides):
@@ -185,6 +202,27 @@ class TestSimulate:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "2^30" in err
+
+    @pytest.mark.parametrize("bit", [-1, 4])
+    def test_tamper_bit_outside_payload(self, tmp_path, capsys, bit):
+        cfg = self.write_config(tmp_path, tamper_p1_bit=bit)
+        assert run_cli(["simulate", "--config", str(cfg)]) == 64
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_last_tamper_bit(self, tmp_path):
+        cfg = self.write_config(tmp_path, tamper_p1_bit=3)
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+
+    def test_n_quarter_above_cap(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, n_quarter=1025, x=1)
+        start = time.perf_counter()
+        assert run_cli(["simulate", "--config", str(cfg)]) == 64
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_n_quarter_at_cap(self, tmp_path):
+        cfg = self.write_config(tmp_path, n_quarter=1024, x=1, frame_budget=1)
+        assert run_cli(["simulate", "--config", str(cfg)]) == 3
 
     def test_unknown_field(self, tmp_path):
         cfg = self.write_config(tmp_path, not_a_field=1)
@@ -266,6 +304,18 @@ class TestUsage:
         run_cli(["rates", "--q-steps", "1", "--p-steps", "1", "-o", "rel.csv"])
         assert (tmp_path / "rel.csv").exists()
 
+    def test_cli_imports_no_scipy(self):
+        # scipy is test-only; only a fresh interpreter shows what the
+        # package imports by itself
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pbc_bb84.cli; print(*sorted(sys.modules))"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
 
 #: One field's value: in and out of range, integral and fractional floats,
 #: NaN, infinities, bools, huge numbers, null and strings.  Other floats stay
@@ -285,15 +335,17 @@ CONFIG_VALUES = st.one_of(
 
 def violates_cross_field_rule(name, value):
     """Whether a numeric value of one field breaks, at the other fields'
-    defaults (N = 2, x = 6, 200 frames, detection 1), a rule the schema
-    cannot state: x <= C(2N, N), or at most 2^30 expected pulses."""
+    defaults (N = 2, x = 6, 200 frames, detection 1, raw payloads), a rule
+    the schema cannot state: x <= C(2N, N), at most 2^30 expected pulses,
+    or a tampered bit inside the 4-bit payload."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         return False
     return {
-        "n_quarter": value == 1 or 200 * 4 * value > 2**30,
+        "n_quarter": value == 1,
         "x": value > 6,
         "frame_budget": value * 4 * 2 > 2**30,
         "detection_prob": 200 * 4 * 2 > 2**30 * value > 0,
+        "tamper_p1_bit": value >= 4,
     }.get(name, False)
 
 

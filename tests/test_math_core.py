@@ -75,6 +75,26 @@ class TestLog2Binom:
                     exact, rel=1e-10
                 )
 
+    def test_exact_oracle(self):
+        worst = max(
+            abs(mc.log2_binom(n, k) - math.log2(math.comb(n, k)))
+            for n in range(2, 641)
+            for k in range(n + 1)
+        )
+        assert worst < 1e-9
+
+
+class TestLog2ErrorBall:
+    """The log-domain error-ball sum of the binding bound against its exact
+    integer value, at the allowances m = floor(E * n) for E up to 0.45."""
+
+    @pytest.mark.parametrize("e_tol", [0.0, 0.05, 0.1, 0.2, 0.34, 0.45])
+    def test_exact_oracle(self, e_tol):
+        for n in range(2, 641):
+            m = mc._floor_tol(e_tol * n)
+            exact = 1 + sum((2**k - 1) * math.comb(n, k) for k in range(1, m + 1))
+            assert abs(mc._log2_error_ball(n, m) - math.log2(exact)) < 1e-9, (n, m)
+
 
 class TestKeyRateBound:
     def test_large_n_limit(self):
