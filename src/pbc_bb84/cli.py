@@ -162,15 +162,47 @@ def _json_score(score: float):
     return score
 
 
+#: Where ``candidates`` sits in the report that ``json`` lays out with
+#: ``indent=2``; only a top-level key starts a line with two spaces.
+_CANDIDATES_SLOT = '\n  "candidates": []'
+
+
+def _write_candidates(stream, candidates, nodes) -> None:
+    """Write the ``candidates`` array as ``json.dump(..., indent=2,
+    sort_keys=True)`` lays it out, from the JSON text of each edge's
+    serve probability and of each node name."""
+    if not candidates.paths:
+        stream.write("[]")
+        return
+    prob_text = [json.dumps(p) for p in candidates.serve]
+    node_text = {n: json.dumps(n) for n in nodes}
+    sep = ",\n        "  # between two items of a candidate's list
+    lead = "[\n    {\n      "
+    for path, row in zip(candidates.paths, candidates.edges):
+        # json writes an empty list, the path from a node to itself, as []
+        probs = sep.join(map(prob_text.__getitem__, row))
+        probs = "[\n        " + probs + "\n      ]" if row else "[]"
+        stream.write(
+            lead + '"edge_probs": ' + probs + ',\n      "path": [\n        '
+            + sep.join(map(node_text.__getitem__, path)) + "\n      ]\n    }"
+        )
+        lead = ",\n    {\n      "
+    stream.write("\n  ]")
+
+
+def _alpha(text: str) -> float:
+    alpha = float(text)
+    if not 0.0 <= alpha < math.inf:
+        raise argparse.ArgumentTypeError(f"alpha must be finite and non-negative: {text}")
+    return alpha
+
+
 def cmd_route(args) -> int:
     try:
         with open(args.network) as fh:
             doc = json.load(fh)
         graph = relay_routing.NetworkGraph.from_json(doc)
-        t = doc["traffic"]
-        traffic = relay_routing.TrafficSpec(
-            t["src"], t["dst"], t["n_packets"], t["packet_len"]
-        )
+        traffic = relay_routing.TrafficSpec.from_json(doc["traffic"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"route: invalid network document: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -181,15 +213,13 @@ def cmd_route(args) -> int:
         print(f"route: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # the candidates are streamed into their slot, never built as objects
     report: dict = {
         "mode": args.mode,
         "alpha": args.alpha if args.mode == "vc" else None,
-        "candidates": [
-            {"path": list(c.nodes), "edge_probs": list(c.edge_probs)}
-            for c in candidates
-        ],
+        "candidates": [],
     }
-    if not candidates:
+    if not candidates.paths:
         report["status"] = "unreachable"
         report["chosen"] = None
         report["reservation"] = None
@@ -211,10 +241,12 @@ def cmd_route(args) -> int:
             "viable": chosen.viable,
         }
 
+    head, tail = json.dumps(report, indent=2, sort_keys=True).split(_CANDIDATES_SLOT)
     stream, close = _open_output(args.output)
     try:
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+        stream.write(head + '\n  "candidates": ')
+        _write_candidates(stream, candidates, graph.nodes)
+        stream.write(tail + "\n")
     finally:
         if close:
             stream.close()
@@ -258,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("route", help="discovery + selection on a network file")
     p.add_argument("--network", required=True)
     p.add_argument("--mode", choices=["datagram", "vc"], default="datagram")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_alpha, default=0.5)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_route)
 

@@ -1,7 +1,8 @@
 """Trusted-relay network routing on top of per-edge key buffers.
 
 Serve probabilities come from the edge's one-time-pad buffer versus the
-offered load; flooding discovery enumerates every simple path; datagram
+offered load; flooding discovery enumerates every simple path, up to
+``MAX_PATHS``, as rows of edge ids over a per-edge table; datagram
 selection maximizes the product of edge probabilities; virtual-circuit
 selection trades that product against hop count and then pins the chosen
 path with per-relay commitment handles.
@@ -10,11 +11,32 @@ path with per-relay commitment handles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain
+
+#: Most simple paths a discovery may list: K10 has 109,601 between two
+#: nodes, K11 986,410.
+MAX_PATHS = 2**17
 
 
 class AlreadyReservedError(Exception):
     """Raised when a traffic spec tries to reserve a second circuit."""
+
+
+class TooManyPathsError(ValueError):
+    """Raised when a discovery finds more than ``MAX_PATHS`` simple paths."""
+
+
+def _integral(value):
+    """A JSON number such as 1.0 read as the integer it is; other values
+    are left for the type checks."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _is_int(value) -> bool:
+    # bool subclasses int, but a JSON boolean is not a number
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -25,24 +47,41 @@ class TrafficSpec:
     packet_len: int
 
     def __post_init__(self):
+        if not isinstance(self.source, str) or not isinstance(self.destination, str):
+            raise ValueError("src and dst must be node names")
+        if not _is_int(self.n_packets) or not _is_int(self.packet_len):
+            raise ValueError("n_packets and packet_len must be integers")
         if self.n_packets < 1:
             raise ValueError("n_packets must be >= 1")
         if self.packet_len < 1:
             raise ValueError("packet_len must be >= 1")
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "TrafficSpec":
+        return cls(
+            doc["src"], doc["dst"],
+            _integral(doc["n_packets"]), _integral(doc["packet_len"]),
+        )
 
     def key(self) -> tuple:
         return (self.source, self.destination, self.n_packets, self.packet_len)
 
 
 class NetworkGraph:
-    """Undirected relay graph; each edge carries a key-buffer size in bits."""
+    """Undirected relay graph; each edge carries a key-buffer size in bits.
+
+    Edge ids are positions in ``buffers``; ``adj`` lists each node's
+    neighbours in sorted order with the id of the edge to each.
+    """
 
     def __init__(self, nodes, edges):
         self.nodes = tuple(nodes)
+        if not all(isinstance(n, str) for n in self.nodes):
+            raise ValueError("node identifiers must be strings")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node identifiers")
         self.buffers: dict[frozenset, int] = {}
-        self.adj: dict[str, list[str]] = {n: [] for n in self.nodes}
+        self.adj: dict[str, list[tuple[str, int]]] = {n: [] for n in self.nodes}
         for a, b, buffer_bits in edges:
             if a == b:
                 raise ValueError(f"self-loop at {a}")
@@ -51,19 +90,23 @@ class NetworkGraph:
             key = frozenset((a, b))
             if key in self.buffers:
                 raise ValueError(f"duplicate edge ({a}, {b})")
+            if not _is_int(buffer_bits):
+                raise ValueError("buffer_bits must be an integer")
             if buffer_bits < 0:
                 raise ValueError("buffer_bits must be non-negative")
-            self.buffers[key] = int(buffer_bits)
-            self.adj[a].append(b)
-            self.adj[b].append(a)
+            self.adj[a].append((b, len(self.buffers)))
+            self.adj[b].append((a, len(self.buffers)))
+            self.buffers[key] = buffer_bits
         for n in self.adj:
             self.adj[n].sort()
 
     @classmethod
     def from_json(cls, doc: dict) -> "NetworkGraph":
         try:
-            nodes = doc["nodes"]
-            edges = [(e["a"], e["b"], e["buffer_bits"]) for e in doc["edges"]]
+            nodes, edges = doc["nodes"], doc["edges"]
+            if not isinstance(nodes, list) or not isinstance(edges, list):
+                raise TypeError("nodes and edges must be lists")
+            edges = [(e["a"], e["b"], _integral(e["buffer_bits"])) for e in edges]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed network document: {exc}") from exc
         if not nodes:
@@ -86,12 +129,31 @@ class PathChoice:
     def hops(self) -> int:
         return len(self.nodes) - 1
 
-    def product(self) -> float:
-        return math.prod(self.edge_probs)
-
     @property
     def viable(self) -> bool:
         return all(p > 0.0 for p in self.edge_probs)
+
+
+@dataclass(frozen=True)
+class Candidates:
+    """Every simple path of one discovery, over a per-edge table.
+
+    ``paths[i]`` is path i's node sequence, in lexicographic order, and
+    ``edges[i]`` the ids of its edges in order; ``serve[e]`` is edge e's
+    serve probability under the discovery's load, or None where no path
+    crosses e.
+    """
+
+    paths: list[tuple[str, ...]]
+    edges: list[tuple[int, ...]]
+    serve: list[float | None]
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def probs(self, i: int) -> tuple[float, ...]:
+        """Path i's serve probabilities, edge by edge."""
+        return tuple(map(self.serve.__getitem__, self.edges[i]))
 
 
 def serve_probability(buffer_bits: int, n_packets: int, packet_len: int) -> float:
@@ -109,83 +171,86 @@ def serve_probability(buffer_bits: int, n_packets: int, packet_len: int) -> floa
     return 1.0
 
 
-def _simple_paths(graph: NetworkGraph, src: str, dst: str) -> list[tuple[str, ...]]:
-    paths = []
+def _simple_paths(graph: NetworkGraph, src: str, dst: str):
+    """Node tuples and edge-id tuples of every simple path, by a DFS that
+    visits neighbours in sorted order, so paths come out lexicographic."""
+    if src == dst:
+        return [(src,)], [()]
+    paths, edges = [], []
     seen = {src}
-    route = [src]
-
-    def dfs(node):
-        if node == dst:
-            paths.append(tuple(route))
-            return
-        for nxt in graph.adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                route.append(nxt)
-                dfs(nxt)
-                route.pop()
-                seen.remove(nxt)
-
-    dfs(src)
-    return sorted(paths)
+    # one frame per node on the current route: its route, its edges and
+    # the neighbours still to try
+    stack = [((src,), (), iter(graph.adj[src]))]
+    while stack:
+        route, route_edges, untried = stack[-1]
+        for nxt, edge in untried:
+            if nxt in seen:
+                continue
+            if nxt == dst:
+                paths.append(route + (nxt,))
+                edges.append(route_edges + (edge,))
+                if len(paths) > MAX_PATHS:
+                    raise TooManyPathsError(
+                        f"more than {MAX_PATHS} simple paths from {src} to {dst}"
+                    )
+                continue
+            seen.add(nxt)
+            stack.append((route + (nxt,), route_edges + (edge,), iter(graph.adj[nxt])))
+            break
+        else:
+            stack.pop()
+            seen.remove(route[-1])
+    return paths, edges
 
 
 def _edges_of(nodes: tuple[str, ...]):
     return [frozenset((a, b)) for a, b in zip(nodes, nodes[1:])]
 
 
-def _build_choices(
-    graph: NetworkGraph,
-    traffic: TrafficSpec,
-    paths: list[tuple[str, ...]],
-) -> list[PathChoice]:
-    load: dict[frozenset, int] = {}
-    for nodes in paths:
-        for edge in _edges_of(nodes):
-            load[edge] = load.get(edge, 0) + 1
-    choices = []
-    for nodes in paths:
-        probs = tuple(
-            serve_probability(
-                graph.buffers[edge],
-                load[edge] * traffic.n_packets,
-                traffic.packet_len,
-            )
-            for edge in _edges_of(nodes)
-        )
-        choices.append(PathChoice(nodes, probs, score=math.prod(probs)))
-    return choices
-
-
-def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> list[PathChoice]:
+def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     """Every simple path from source to destination.
 
     During discovery each edge's offered load is the number of candidate
     paths crossing it times ``n_packets``; the per-edge serve
-    probabilities reflect that load.  Returns [] when no path exists.
+    probabilities reflect that load.  The table is empty when no path
+    exists; more than ``MAX_PATHS`` paths raise :class:`TooManyPathsError`.
     """
     if traffic.source not in graph.adj or traffic.destination not in graph.adj:
         raise ValueError("source or destination not in graph")
-    paths = _simple_paths(graph, traffic.source, traffic.destination)
-    return _build_choices(graph, traffic, paths)
+    paths, edges = _simple_paths(graph, traffic.source, traffic.destination)
+    bits = list(graph.buffers.values())
+    serve: list[float | None] = [None] * len(bits)
+    for edge, load in Counter(chain.from_iterable(edges)).items():
+        serve[edge] = serve_probability(
+            bits[edge], load * traffic.n_packets, traffic.packet_len
+        )
+    return Candidates(paths, edges, serve)
 
 
-def _tie_key(choice: PathChoice) -> tuple:
-    return (choice.hops, choice.nodes)
+def _pick(candidates: Candidates, scores: list) -> PathChoice:
+    """The path of maximum score; ties go to fewer hops, then
+    lexicographic node order."""
+    best = max(scores)
+    paths = candidates.paths
+    chosen = min(
+        (i for i, s in enumerate(scores) if s == best),
+        key=lambda i: (len(paths[i]), paths[i]),
+    )
+    return PathChoice(paths[chosen], candidates.probs(chosen), scores[chosen])
 
 
-def datagram_select(paths: list[PathChoice]) -> PathChoice:
+def datagram_select(candidates: Candidates) -> PathChoice:
     """Path with the maximum product of edge serve probabilities; ties go
     to fewer hops, then lexicographic node order."""
-    if not paths:
+    if not candidates.paths:
         raise ValueError("empty path set")
-    best = max(paths, key=lambda c: (c.product(),))
-    top = [c for c in paths if c.product() == best.product()]
-    chosen = min(top, key=_tie_key)
-    return replace(chosen, score=chosen.product())
+    serve = candidates.serve
+    # math.prod multiplies left to right from 1, so each product is the
+    # one of the path's own probabilities
+    return _pick(candidates, [math.prod(map(serve.__getitem__, row)) for row in candidates.edges])
 
 
-def vc_select(paths: list[PathChoice], alpha: float) -> PathChoice:
+def vc_select(candidates: Candidates, alpha: float) -> PathChoice:
     """Virtual-circuit choice: maximize sum(log2 p_e) - alpha * hops.
 
     alpha = 0 reduces exactly to :func:`datagram_select`.  Paths with a
@@ -193,20 +258,18 @@ def vc_select(paths: list[PathChoice], alpha: float) -> PathChoice:
     returned choice has score -inf and ``viable`` False (no viable
     circuit), with the same tie-breaks as the datagram rule.
     """
-    if not paths:
+    if not candidates.paths:
         raise ValueError("empty path set")
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
-
-    def score(c: PathChoice) -> float:
-        if not c.viable:
-            return -math.inf
-        return sum(math.log2(p) for p in c.edge_probs) - alpha * c.hops
-
-    best_score = max(score(c) for c in paths)
-    top = [c for c in paths if score(c) == best_score]
-    chosen = min(top, key=_tie_key)
-    return replace(chosen, score=best_score)
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and non-negative")
+    # a zero edge's -inf makes its paths' sums -inf, minus any finite penalty
+    log2 = [
+        None if p is None else math.log2(p) if p > 0.0 else -math.inf
+        for p in candidates.serve
+    ]
+    return _pick(candidates, [
+        sum(map(log2.__getitem__, row)) - alpha * len(row) for row in candidates.edges
+    ])
 
 
 class ReservationLedger:
@@ -250,7 +313,7 @@ class ReservationReport:
 def reserve_circuit(
     graph: NetworkGraph,
     chosen: PathChoice,
-    all_paths: list[PathChoice],
+    candidates: Candidates,
     traffic: TrafficSpec,
     ledger: ReservationLedger | None = None,
     full: bool = False,
@@ -263,7 +326,7 @@ def reserve_circuit(
     Edges on non-chosen candidates drop their provisional load, so the
     chosen path's recomputed serve probabilities never decrease.
     """
-    if chosen.nodes not in {c.nodes for c in all_paths}:
+    if chosen.nodes not in candidates.paths:
         raise ValueError("chosen path is not in the candidate set")
     if ledger is not None and ledger.is_reserved(traffic):
         raise AlreadyReservedError(

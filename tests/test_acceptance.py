@@ -346,12 +346,12 @@ def test_09_routing_oracles():
         graph, traffic = random_instance(seed)
         paths = rr.flood_discover(graph, traffic)
         expected = oracle_paths(graph, traffic.source, traffic.destination)
-        if sorted(p.nodes for p in paths) != expected:
+        if sorted(paths.paths) != expected:
             mismatches += 1
-        if not paths:
+        if not paths.paths:
             continue
         checked += 1
-        best = max(math.prod(p.edge_probs) for p in paths)
+        best = max(math.prod(paths.probs(i)) for i in range(len(paths)))
         chosen = rr.datagram_select(paths)
         if math.prod(chosen.edge_probs) != best:
             mismatches += 1

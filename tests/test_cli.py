@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import fields
 from importlib import resources
@@ -291,6 +292,72 @@ class TestRoute:
         net.write_text(json.dumps({"nodes": [], "edges": [], "traffic": {}}))
         assert run_cli(["route", "--network", str(net)]) == 64
 
+    @pytest.mark.parametrize("path, value", [
+        (("edges", 0, "buffer_bits"), 5.7),
+        (("traffic", "n_packets"), 1.5),
+        (("traffic", "packet_len"), True),
+        (("traffic", "n_packets"), 1e400),  # read as inf
+        (("nodes",), "ABCD"),
+    ])
+    def test_untyped_field_is_usage_error(self, network_file, capsys, path, value):
+        doc = json.loads(network_file.read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        network_file.write_text(json.dumps(doc))
+        assert not jsonschema.Draft202012Validator(
+            load_schema("network.schema.json")).is_valid(doc)
+        assert run_cli(["route", "--network", str(network_file)]) == 64
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_integer_node_names(self, tmp_path, capsys):
+        doc = {
+            "nodes": [1, 2],
+            "edges": [{"a": 1, "b": 2, "buffer_bits": 7}],
+            "traffic": {"src": 1, "dst": 2, "n_packets": 1, "packet_len": 1},
+        }
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        assert run_cli(["route", "--network", str(net)]) == 64
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_integral_float_is_an_integer(self, network_file, tmp_path):
+        doc = json.loads(network_file.read_text())
+        outputs = []
+        for bits in (50, 50.0):
+            doc["edges"][0]["buffer_bits"] = bits
+            network_file.write_text(json.dumps(doc))
+            out = tmp_path / f"{bits!r}.json"
+            assert run_cli(["route", "--network", str(network_file), "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_alpha_outside_range(self, network_file, capsys, alpha):
+        argv = ["route", "--network", str(network_file), "--mode", "vc", "--alpha", alpha]
+        assert run_cli(argv) == 64
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_too_many_paths(self, tmp_path, capsys):
+        # K11: about 986,000 simple paths between two nodes
+        nodes = [f"n{i}" for i in range(11)]
+        doc = {
+            "nodes": nodes,
+            "edges": [{"a": a, "b": b, "buffer_bits": 1000}
+                      for i, a in enumerate(nodes) for b in nodes[i + 1:]],
+            "traffic": {"src": "n0", "dst": "n10", "n_packets": 1, "packet_len": 1},
+        }
+        net, out = tmp_path / "net.json", tmp_path / "r.json"
+        net.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run_cli(["route", "--network", str(net), "-o", str(out)]) == 64
+        assert time.perf_counter() - start < 2.0
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(2**17) in err
+
 
 class TestUsage:
     def test_no_subcommand(self):
@@ -364,3 +431,72 @@ class TestConfigSchemaAgreement:
         except (TypeError, ValueError):
             accepted = False
         assert self.VALIDATOR.is_valid(doc) == accepted
+
+
+#: The valid network that each agreement example changes in one field.
+NETWORK = {
+    "nodes": ["A", "B", "C", "D"],
+    "edges": [
+        {"a": "A", "b": "B", "buffer_bits": 50},
+        {"a": "B", "b": "D", "buffer_bits": 80},
+        {"a": "A", "b": "C", "buffer_bits": 20},
+        {"a": "C", "b": "D", "buffer_bits": 90},
+    ],
+    "traffic": {"src": "A", "dst": "D", "n_packets": 10, "packet_len": 10},
+}
+
+#: ``nodes`` values: the four names plus extra items of every JSON type,
+#: and values that are not lists at all.
+NODES_VALUES = st.one_of(
+    st.lists(
+        st.one_of(st.text(max_size=2), st.integers(), st.floats(), st.booleans(), st.none()),
+        max_size=3,
+    ).map(lambda extra: NETWORK["nodes"] + extra),
+    st.sampled_from(["ABCD", "", {"A": 0, "B": 1, "C": 2, "D": 3}]),
+    CONFIG_VALUES,
+)
+
+
+def network_with(name, value):
+    doc = json.loads(json.dumps(NETWORK))
+    if name == "nodes":
+        doc["nodes"] = value
+    elif name == "buffer_bits":
+        doc["edges"][0]["buffer_bits"] = value
+    else:
+        doc["traffic"][name] = value
+    return doc
+
+
+def violates_network_rule(name, value):
+    """Whether one field's value breaks a rule the schema cannot state:
+    src and dst name a node, and node names are unique."""
+    if name in ("src", "dst"):
+        return isinstance(value, str) and value not in NETWORK["nodes"]
+    if name == "nodes" and isinstance(value, list):
+        names = [v for v in value if isinstance(v, str)]
+        return len(set(names)) != len(names)
+    return False
+
+
+class TestNetworkSchemaAgreement:
+    VALIDATOR = jsonschema.Draft202012Validator(load_schema("network.schema.json"))
+
+    @pytest.mark.parametrize("name", [
+        "nodes", "buffer_bits", "src", "dst", "n_packets", "packet_len",
+    ])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_schema_valid_iff_route_accepts(self, name, data):
+        values = NODES_VALUES if name == "nodes" else st.one_of(
+            CONFIG_VALUES, st.sampled_from(NETWORK["nodes"]))
+        value = data.draw(values)
+        assume(not violates_network_rule(name, value))
+        doc = network_with(name, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            net = os.path.join(tmp, "net.json")
+            with open(net, "w") as fh:
+                json.dump(doc, fh)
+            code = run_cli(["route", "--network", net, "-o", os.path.join(tmp, "r.json")])
+        assert code in (0, 64)
+        assert self.VALIDATOR.is_valid(doc) == (code == 0)

@@ -7,6 +7,12 @@ import pytest
 from pbc_bb84 import relay_routing as rr
 
 
+def complete_graph(n, bits=100):
+    nodes = [f"n{i}" for i in range(n)]
+    edges = [(a, b, bits) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+    return rr.NetworkGraph(nodes, edges), nodes
+
+
 def diamond_graph(ab=50, bd=80, ac=20, cd=90):
     return rr.NetworkGraph(
         ["A", "B", "C", "D"],
@@ -34,6 +40,21 @@ def nx_simple_paths(graph, src, dst):
     if src not in g or dst not in g:
         return []
     return sorted(tuple(p) for p in nx.all_simple_paths(g, src, dst))
+
+
+def table(*paths):
+    """Candidates over explicit (nodes, probabilities) paths, with an edge
+    id of its own for each edge of each path."""
+    serve, edges = [], []
+    for _, probs in paths:
+        edges.append(tuple(range(len(serve), len(serve) + len(probs))))
+        serve.extend(probs)
+    return rr.Candidates([nodes for nodes, _ in paths], edges, serve)
+
+
+def choices(candidates):
+    """(nodes, edge probabilities) of each candidate, in table order."""
+    return [(nodes, candidates.probs(i)) for i, nodes in enumerate(candidates.paths)]
 
 
 class TestServeProbability:
@@ -76,11 +97,11 @@ class TestFloodDiscover:
     def test_diamond(self):
         traffic = rr.TrafficSpec("A", "D", 1, 10)
         paths = rr.flood_discover(diamond_graph(), traffic)
-        assert sorted(p.nodes for p in paths) == [("A", "B", "D"), ("A", "C", "D")]
+        assert sorted(paths.paths) == [("A", "B", "D"), ("A", "C", "D")]
 
     def test_disconnected(self):
         graph = rr.NetworkGraph(["A", "B", "C"], [("A", "B", 10)])
-        assert rr.flood_discover(graph, rr.TrafficSpec("A", "C", 1, 1)) == []
+        assert rr.flood_discover(graph, rr.TrafficSpec("A", "C", 1, 1)).paths == []
 
     def test_k5_count(self):
         nodes = list("ABCDE")
@@ -100,11 +121,42 @@ class TestFloodDiscover:
     def test_edge_load_counts_crossing_paths(self):
         traffic = rr.TrafficSpec("A", "D", 10, 10)
         paths = rr.flood_discover(diamond_graph(ab=50), traffic)
-        by_nodes = {p.nodes: p for p in paths}
+        by_nodes = dict(choices(paths))
         # each edge is crossed by exactly one of the two candidate paths
-        assert by_nodes[("A", "B", "D")].edge_probs[0] == rr.serve_probability(
+        assert by_nodes[("A", "B", "D")][0] == rr.serve_probability(
             50, 10, 10
         )
+
+    def test_paths_in_lexicographic_order(self):
+        graph, nodes = complete_graph(6)
+        paths = rr.flood_discover(graph, rr.TrafficSpec(nodes[0], nodes[-1], 1, 1))
+        assert paths.paths == sorted(paths.paths)
+
+    def test_source_is_destination(self):
+        paths = rr.flood_discover(diamond_graph(), rr.TrafficSpec("A", "A", 1, 1))
+        assert (paths.paths, paths.edges) == ([("A",)], [()])
+
+    def test_path_limit_matches_networkx(self, monkeypatch):
+        graph, nodes = complete_graph(7)
+        expected = nx_simple_paths(graph, nodes[0], nodes[-1])
+        traffic = rr.TrafficSpec(nodes[0], nodes[-1], 1, 1)
+        # at the limit every path is listed; one path more than it is refused
+        monkeypatch.setattr(rr, "MAX_PATHS", len(expected))
+        assert rr.flood_discover(graph, traffic).paths == expected
+        monkeypatch.setattr(rr, "MAX_PATHS", len(expected) - 1)
+        with pytest.raises(rr.TooManyPathsError):
+            rr.flood_discover(graph, traffic)
+
+    def test_limit_admits_k10(self):
+        graph, nodes = complete_graph(10)
+        paths = rr.flood_discover(graph, rr.TrafficSpec(nodes[0], nodes[-1], 1, 1))
+        # sum over k of 8!/(8-k)!, the simple paths between two K10 nodes
+        assert len(paths) == 109_601 <= rr.MAX_PATHS
+
+    def test_limit_refuses_k11(self):
+        graph, nodes = complete_graph(11)
+        with pytest.raises(rr.TooManyPathsError):
+            rr.flood_discover(graph, rr.TrafficSpec(nodes[0], nodes[-1], 1, 1))
 
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_enumeration_oracle(self, seed):
@@ -112,7 +164,7 @@ class TestFloodDiscover:
         graph, nodes = random_graph(rng)
         src, dst = nodes[0], nodes[-1]
         traffic = rr.TrafficSpec(src, dst, 2, 5)
-        ours = sorted(p.nodes for p in rr.flood_discover(graph, traffic))
+        ours = sorted(rr.flood_discover(graph, traffic).paths)
         assert ours == nx_simple_paths(graph, src, dst)
 
 
@@ -120,41 +172,43 @@ def brute_force_best(paths, alpha=None):
     """Exhaustive-scoring oracle shared by the selection tests."""
 
     def score(c):
+        nodes, probs = c
         if alpha is None:
-            return math.prod(c.edge_probs)
-        if any(p == 0.0 for p in c.edge_probs):
+            return math.prod(probs)
+        if any(p == 0.0 for p in probs):
             return -math.inf
-        return sum(math.log2(p) for p in c.edge_probs) - alpha * (len(c.nodes) - 1)
+        return sum(math.log2(p) for p in probs) - alpha * (len(nodes) - 1)
 
+    paths = choices(paths)
     best = max(score(c) for c in paths)
     top = [c for c in paths if score(c) == best]
-    return min(top, key=lambda c: (len(c.nodes) - 1, c.nodes)).nodes
+    return min(top, key=lambda c: (len(c[0]) - 1, c[0]))[0]
 
 
 class TestSelection:
     def test_datagram_picks_max_product(self):
-        paths = [
-            rr.PathChoice(("A", "B", "D"), (0.5, 1.0)),
-            rr.PathChoice(("A", "C", "D"), (0.9, 1.0)),
-        ]
+        paths = table(
+            (("A", "B", "D"), (0.5, 1.0)),
+            (("A", "C", "D"), (0.9, 1.0)),
+        )
         assert rr.datagram_select(paths).nodes == ("A", "C", "D")
 
     def test_tie_break_fewer_hops(self):
-        paths = [
-            rr.PathChoice(("A", "B", "C", "D"), (1.0, 0.9, 1.0)),
-            rr.PathChoice(("A", "E", "D"), (0.9, 1.0)),
-        ]
+        paths = table(
+            (("A", "B", "C", "D"), (1.0, 0.9, 1.0)),
+            (("A", "E", "D"), (0.9, 1.0)),
+        )
         assert rr.datagram_select(paths).nodes == ("A", "E", "D")
 
     def test_single_path(self):
-        only = rr.PathChoice(("A", "D"), (0.3,))
-        assert rr.datagram_select([only]).nodes == ("A", "D")
+        only = table((("A", "D"), (0.3,)))
+        assert rr.datagram_select(only).nodes == ("A", "D")
 
     def test_empty_set(self):
         with pytest.raises(ValueError):
-            rr.datagram_select([])
+            rr.datagram_select(table())
         with pytest.raises(ValueError):
-            rr.vc_select([], 0.5)
+            rr.vc_select(table(), 0.5)
 
     def test_vc_alpha_zero_reduces_to_datagram(self):
         for seed in range(100):
@@ -162,28 +216,28 @@ class TestSelection:
             graph, nodes = random_graph(rng)
             traffic = rr.TrafficSpec(nodes[0], nodes[-1], 2, 5)
             paths = rr.flood_discover(graph, traffic)
-            if not paths:
+            if not paths.paths:
                 continue
             assert rr.vc_select(paths, 0.0).nodes == rr.datagram_select(paths).nodes
             assert rr.datagram_select(paths).nodes == brute_force_best(paths)
 
     def test_hop_penalty_dominates_equal_probs(self):
-        paths = [
-            rr.PathChoice(("A", "B", "C", "D"), (0.8, 0.8, 0.8)),
-            rr.PathChoice(("A", "E", "D"), (0.8, 0.8)),
-        ]
+        paths = table(
+            (("A", "B", "C", "D"), (0.8, 0.8, 0.8)),
+            (("A", "E", "D"), (0.8, 0.8)),
+        )
         assert rr.vc_select(paths, 0.5).nodes == ("A", "E", "D")
 
     def test_vc_matches_scoring_oracle(self):
-        paths = [
-            rr.PathChoice(("A", "B", "D"), (0.9, 0.4)),
-            rr.PathChoice(("A", "C", "D"), (0.6, 0.6)),
-            rr.PathChoice(("A", "B", "C", "D"), (0.9, 0.95, 0.6)),
-        ]
+        paths = table(
+            (("A", "B", "D"), (0.9, 0.4)),
+            (("A", "C", "D"), (0.6, 0.6)),
+            (("A", "B", "C", "D"), (0.9, 0.95, 0.6)),
+        )
         assert rr.vc_select(paths, 0.5).nodes == brute_force_best(paths, alpha=0.5)
 
     def test_all_zero_paths_not_viable(self):
-        paths = [rr.PathChoice(("A", "B", "D"), (0.0, 0.5))]
+        paths = table((("A", "B", "D"), (0.0, 0.5)))
         chosen = rr.vc_select(paths, 0.5)
         assert not chosen.viable
         assert chosen.score == -math.inf
@@ -205,7 +259,8 @@ class TestReserveCircuit:
         graph = rr.NetworkGraph(["A", "B"], [("A", "B", 42)])
         traffic = rr.TrafficSpec("A", "B", 3, 10)
         paths = rr.flood_discover(graph, traffic)
-        report = rr.reserve_circuit(graph, paths[0], paths, traffic)
+        only = rr.PathChoice(*choices(paths)[0])
+        report = rr.reserve_circuit(graph, only, paths, traffic)
         assert report.before_probs == report.after_probs
 
     def test_chosen_must_be_candidate(self):
@@ -234,7 +289,7 @@ class TestReserveCircuit:
         traffic = rr.TrafficSpec("A", "B", 1, 10)
         paths = rr.flood_discover(graph, traffic)
         report = rr.reserve_circuit(
-            graph, paths[0], paths, traffic, full=True, seed=1
+            graph, rr.PathChoice(*choices(paths)[0]), paths, traffic, full=True, seed=1
         )
         assert all(h["session_status"] == "accept" for h in report.handles)
 
@@ -251,6 +306,39 @@ class TestGraphValidation:
     def test_negative_buffer(self):
         with pytest.raises(ValueError):
             rr.NetworkGraph(["A", "B"], [("A", "B", -1)])
+
+    @pytest.mark.parametrize("bits", [5.7, True, None, "5", math.nan, math.inf])
+    def test_buffer_must_be_an_integer(self, bits):
+        with pytest.raises(ValueError):
+            rr.NetworkGraph(["A", "B"], [("A", "B", bits)])
+
+    def test_integral_float_buffer(self):
+        graph = rr.NetworkGraph.from_json(
+            {"nodes": ["A", "B"], "edges": [{"a": "A", "b": "B", "buffer_bits": 7.0}]}
+        )
+        assert type(graph.buffer_bits("A", "B")) is int
+
+    @pytest.mark.parametrize("nodes", ["AB", {"A": 0, "B": 1}, [1, 2]])
+    def test_nodes_must_be_a_list_of_names(self, nodes):
+        with pytest.raises(ValueError):
+            rr.NetworkGraph.from_json(
+                {"nodes": nodes, "edges": [{"a": 1, "b": 2, "buffer_bits": 7}]}
+            )
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_packets", 1.5), ("n_packets", math.inf), ("packet_len", True),
+        ("n_packets", None), ("src", 1), ("dst", ["D"]),
+    ])
+    def test_traffic_types(self, field, value):
+        doc = {"src": "A", "dst": "D", "n_packets": 1, "packet_len": 1, field: value}
+        with pytest.raises(ValueError):
+            rr.TrafficSpec.from_json(doc)
+
+    def test_integral_float_traffic(self):
+        doc = {"src": "A", "dst": "D", "n_packets": 2.0, "packet_len": 1e3}
+        traffic = rr.TrafficSpec.from_json(doc)
+        assert traffic == rr.TrafficSpec("A", "D", 2, 1000)
+        assert type(traffic.n_packets) is type(traffic.packet_len) is int
 
     def test_from_json(self):
         graph = rr.NetworkGraph.from_json(
