@@ -15,8 +15,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
-#: Most simple paths a discovery may list: K10 has 109,601 between two
-#: nodes, K11 986,410.
+#: Most simple paths a discovery may list, and most routes short of the
+#: destination it may extend: K10 has 109,601 paths between two nodes and
+#: 109,600 such routes, K11 986,410 and 986,409.  The second count bounds
+#: the search where many routes end in a part of the graph that the
+#: destination can be reached from only through the route itself.
 MAX_PATHS = 2**17
 
 
@@ -25,7 +28,8 @@ class AlreadyReservedError(Exception):
 
 
 class TooManyPathsError(ValueError):
-    """Raised when a discovery finds more than ``MAX_PATHS`` simple paths."""
+    """Raised when a discovery finds more than ``MAX_PATHS`` simple paths,
+    or extends more than ``MAX_PATHS`` routes short of the destination."""
 
 
 def _integral(value):
@@ -171,13 +175,27 @@ def serve_probability(buffer_bits: int, n_packets: int, packet_len: int) -> floa
     return 1.0
 
 
+def _reachable(graph: NetworkGraph, node: str) -> set[str]:
+    """Every node joined to ``node`` by some path."""
+    reach, todo = {node}, [node]
+    while todo:
+        for nxt, _ in graph.adj[todo.pop()]:
+            if nxt not in reach:
+                reach.add(nxt)
+                todo.append(nxt)
+    return reach
+
+
 def _simple_paths(graph: NetworkGraph, src: str, dst: str):
     """Node tuples and edge-id tuples of every simple path, by a DFS that
     visits neighbours in sorted order, so paths come out lexicographic."""
     if src == dst:
         return [(src,)], [()]
+    if src not in _reachable(graph, dst):
+        return [], []
     paths, edges = [], []
     seen = {src}
+    extended = 0
     # one frame per node on the current route: its route, its edges and
     # the neighbours still to try
     stack = [((src,), (), iter(graph.adj[src]))]
@@ -194,6 +212,11 @@ def _simple_paths(graph: NetworkGraph, src: str, dst: str):
                         f"more than {MAX_PATHS} simple paths from {src} to {dst}"
                     )
                 continue
+            extended += 1
+            if extended > MAX_PATHS:
+                raise TooManyPathsError(
+                    f"more than {MAX_PATHS} routes from {src} searched for {dst}"
+                )
             seen.add(nxt)
             stack.append((route + (nxt,), route_edges + (edge,), iter(graph.adj[nxt])))
             break
@@ -213,7 +236,8 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     During discovery each edge's offered load is the number of candidate
     paths crossing it times ``n_packets``; the per-edge serve
     probabilities reflect that load.  The table is empty when no path
-    exists; more than ``MAX_PATHS`` paths raise :class:`TooManyPathsError`.
+    exists.  More than ``MAX_PATHS`` paths, or routes searched, raise
+    :class:`TooManyPathsError`.
     """
     if traffic.source not in graph.adj or traffic.destination not in graph.adj:
         raise ValueError("source or destination not in graph")
@@ -245,8 +269,8 @@ def datagram_select(candidates: Candidates) -> PathChoice:
     if not candidates.paths:
         raise ValueError("empty path set")
     serve = candidates.serve
-    # math.prod multiplies left to right from 1, so each product is the
-    # one of the path's own probabilities
+    # math.prod runs left to right from 1 over the path's probabilities in
+    # edge order, so each product is rounded as for the path's own tuple
     return _pick(candidates, [math.prod(map(serve.__getitem__, row)) for row in candidates.edges])
 
 

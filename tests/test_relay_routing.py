@@ -153,6 +153,26 @@ class TestFloodDiscover:
         # sum over k of 8!/(8-k)!, the simple paths between two K10 nodes
         assert len(paths) == 109_601 <= rr.MAX_PATHS
 
+    def test_limit_bounds_the_search(self, monkeypatch):
+        # dst hangs off the source of K7: one path, and 1,956 routes through
+        # K7 that cannot reach dst without passing the source again
+        graph, nodes = complete_graph(7)
+        edges = [(*sorted(edge), bits) for edge, bits in graph.buffers.items()]
+        graph = rr.NetworkGraph([*nodes, "dst"], [*edges, (nodes[0], "dst", 100)])
+        traffic = rr.TrafficSpec(nodes[0], "dst", 1, 1)
+        monkeypatch.setattr(rr, "MAX_PATHS", 1_956)
+        assert rr.flood_discover(graph, traffic).paths == [(nodes[0], "dst")]
+        monkeypatch.setattr(rr, "MAX_PATHS", 1_955)
+        with pytest.raises(rr.TooManyPathsError):
+            rr.flood_discover(graph, traffic)
+
+    def test_unreachable_destination_is_not_searched(self, monkeypatch):
+        graph, nodes = complete_graph(7)
+        edges = [(*sorted(edge), bits) for edge, bits in graph.buffers.items()]
+        graph = rr.NetworkGraph([*nodes, "dst"], edges)
+        monkeypatch.setattr(rr, "MAX_PATHS", 1)
+        assert rr.flood_discover(graph, rr.TrafficSpec(nodes[0], "dst", 1, 1)).paths == []
+
     def test_limit_refuses_k11(self):
         graph, nodes = complete_graph(11)
         with pytest.raises(rr.TooManyPathsError):
