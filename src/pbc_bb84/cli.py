@@ -203,7 +203,8 @@ def cmd_route(args) -> int:
             doc = json.load(fh)
         graph = relay_routing.NetworkGraph.from_json(doc)
         traffic = relay_routing.TrafficSpec.from_json(doc["traffic"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # json.load raises RecursionError on arrays or objects nested too deep
+    except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
         print(f"route: invalid network document: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -138,7 +138,6 @@ class PathChoice:
         return all(p > 0.0 for p in self.edge_probs)
 
 
-@dataclass(frozen=True)
 class Candidates:
     """Every simple path of one discovery, over a per-edge table.
 
@@ -148,9 +147,17 @@ class Candidates:
     crosses e.
     """
 
-    paths: list[tuple[str, ...]]
-    edges: list[tuple[int, ...]]
-    serve: list[float | None]
+    # a plain class: a dataclass would add about a millisecond to every
+    # import of the CLI
+    __slots__ = ("paths", "edges", "serve")
+
+    def __init__(
+        self,
+        paths: list[tuple[str, ...]],
+        edges: list[tuple[int, ...]],
+        serve: list[float | None],
+    ):
+        self.paths, self.edges, self.serve = paths, edges, serve
 
     def __len__(self) -> int:
         return len(self.paths)

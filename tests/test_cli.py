@@ -312,6 +312,12 @@ class TestRoute:
         assert run_cli(["route", "--network", str(network_file)]) == 64
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli(["route", "--network", str(net)]) == 64
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_integer_node_names(self, tmp_path, capsys):
         doc = {
             "nodes": [1, 2],
@@ -485,7 +491,7 @@ class TestNetworkSchemaAgreement:
     @pytest.mark.parametrize("name", [
         "nodes", "buffer_bits", "src", "dst", "n_packets", "packet_len",
     ])
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_schema_valid_iff_route_accepts(self, name, data):
         values = NODES_VALUES if name == "nodes" else st.one_of(
