@@ -130,8 +130,12 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # json.load raises RecursionError on arrays or objects nested too deep
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
         print(f"simulate: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not isinstance(doc, dict):
+        print("simulate: invalid config: config must be a JSON object", file=sys.stderr)
         return EXIT_USAGE
     if args.seed is not None:
         doc["seed"] = args.seed

@@ -116,6 +116,17 @@ class TestBinding:
     def test_n_tol_one_rejected(self):
         assert run_cli(["binding", "--n-tol", "1"]) == 64
 
+    def test_delta_grid_limit(self, tmp_path, capsys):
+        out = tmp_path / "binding.csv"
+        argv = ["binding", "--n-tol", "10", "--variant", "literal", "-o", str(out)]
+        start = time.perf_counter()
+        assert run_cli([*argv, "--delta-grid", str(mc.MAX_DELTA_GRID + 1)]) == 64
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+        assert run_cli([*argv, "--delta-grid", str(mc.MAX_DELTA_GRID)]) == 0
+        assert len(list(csv.DictReader(out.open()))) == 1
+
     @pytest.mark.parametrize("grid", [
         ["--p", "0.1", "2.0"],
         ["--e-tol", "0.6"],
@@ -181,6 +192,22 @@ class TestSimulate:
             json.loads(cfg.read_text())
         )
         assert run_cli(["simulate", "--config", str(cfg)]) == 64
+
+    @pytest.mark.parametrize("text", ["[]", '["a", "b", "c"]', "null", '"seed"', "7"])
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+    def test_config_not_an_object(self, tmp_path, capsys, text, seed):
+        cfg = tmp_path / "session.json"
+        cfg.write_text(text)
+        assert run_cli(["simulate", "--config", str(cfg), *seed]) == 64
+        assert capsys.readouterr().err == (
+            "simulate: invalid config: config must be a JSON object\n"
+        )
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        cfg = tmp_path / "session.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli(["simulate", "--config", str(cfg)]) == 64
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_integral_float_is_an_integer(self, tmp_path):
         # the schema's integer type admits 1.0

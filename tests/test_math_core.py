@@ -14,6 +14,8 @@ from hypothesis import given, strategies as st
 
 from pbc_bb84 import math_core as mc
 
+import binding_reference
+
 # 40-digit mpmath evaluations, frozen.
 H_011 = 0.499915958164528
 LOG2_BINOM_400_200 = 395.35142215691517
@@ -309,6 +311,42 @@ class TestBindingBound:
             mc.binding_bound(bp, "chernoff")
 
 
+BINDING_P = (0.01, 0.1, 0.1025, 0.5, 1.0)
+BINDING_N_TOL = (2, 3, 5, 10, 20, 40, 80, 160, 320, 640)
+BINDING_E_TOL = (0.0, 0.05, 0.1, 0.2, 0.25, 0.34, 0.45)
+
+
+def binding_mismatches(p_values, delta_grid):
+    """Cases where the numpy grid and the scalar loop disagree by more
+    than 1e-12 relative, or print differently at ``%.12g``."""
+    bad = []
+    for p in p_values:
+        for n_tol in BINDING_N_TOL:
+            for e_tol in BINDING_E_TOL:
+                bp = mc.BindingParams(p, n_tol, e_tol, delta_grid)
+                for variant in mc.BINDING_VARIANTS:
+                    got = mc.binding_bound(bp, variant)
+                    want = binding_reference.binding_bound(bp, variant)
+                    if not math.isclose(got, want, rel_tol=1e-12) or (
+                        f"{got:.12g}" != f"{want:.12g}"
+                    ):
+                        bad.append((p, n_tol, e_tol, delta_grid, variant, got, want))
+    return bad
+
+
+class TestBindingMatchesReference:
+    """The numpy grid against the scalar loop it replaced
+    (``tests/binding_reference.py``)."""
+
+    @pytest.mark.parametrize("delta_grid", [2, 7, 500])
+    def test_every_case(self, delta_grid):
+        assert binding_mismatches(BINDING_P, delta_grid) == []
+
+    def test_default_grid(self):
+        # the infimum does not depend on p, so one p covers every grid
+        assert binding_mismatches((0.1025,), 10_000) == []
+
+
 class TestParamValidation:
     def test_rate_params(self):
         with pytest.raises(ValueError):
@@ -327,3 +365,6 @@ class TestParamValidation:
             mc.BindingParams(0.1, 10, 0.5)
         with pytest.raises(ValueError):
             mc.BindingParams(0.1, 10, 0.05, delta_grid=1)
+        with pytest.raises(ValueError):
+            mc.BindingParams(0.1, 10, 0.05, delta_grid=mc.MAX_DELTA_GRID + 1)
+        mc.BindingParams(0.1, 10, 0.05, delta_grid=mc.MAX_DELTA_GRID)
