@@ -12,9 +12,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from pbc_bb84 import math_core as mc
-
 import binding_reference
+from pbc_bb84 import math_core as mc
 
 # 40-digit mpmath evaluations, frozen.
 H_011 = 0.499915958164528
