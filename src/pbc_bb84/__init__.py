@@ -17,7 +17,8 @@ commitment_protocol
     accounting between Alice, Bob and the relays P0/P1.
 relay_routing
     Serve probabilities, flooding path discovery, datagram and
-    virtual-circuit selection, commitment-backed circuit reservation.
+    virtual-circuit selection, circuit reservation with per-relay string
+    commitment handles (no session is run).
 cli
     ``pbc-bb84`` command line front end (rates, binding, simulate, route).
 """

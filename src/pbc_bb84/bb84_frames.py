@@ -14,11 +14,11 @@ verdict.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 
+# read by the benchmark tracer's classify_frame hook (bench/tracing.py)
 class FrameClass(enum.Enum):
     COMMITMENT_CANDIDATE = "commitment_candidate"
     NORMAL = "normal"
@@ -35,25 +35,6 @@ RECORD = np.dtype([
 ])
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Loss+flip stand-in for the quantum channel.
-
-    ``detection_prob`` is the chance Alice registers a pulse at all;
-    ``flip_prob`` is the chance a same-basis measurement returns the wrong
-    bit (the simulated QBER).
-    """
-
-    detection_prob: float = 1.0
-    flip_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.detection_prob <= 1.0:
-            raise ValueError("detection_prob must lie in (0, 1]")
-        if not 0.0 <= self.flip_prob < 0.5:
-            raise ValueError("flip_prob must lie in [0, 0.5)")
-
-
 def prepare_pulses(count: int, rng_seed: int) -> np.ndarray:
     """Bob's pulse train: independent fair coin flips for basis and bit."""
     if count < 1:
@@ -66,21 +47,23 @@ def prepare_pulses(count: int, rng_seed: int) -> np.ndarray:
 
 
 def transmit_and_measure(
-    pulses: np.ndarray, channel: ChannelModel, rng_seed: int
+    pulses: np.ndarray, detection_prob: float, flip_prob: float, rng_seed: int
 ) -> np.ndarray:
-    """Channel plus Alice's measurement.
+    """Loss+flip stand-in for the quantum channel, plus Alice's measurement.
 
-    Each pulse survives independently with ``detection_prob``; Alice picks
-    a uniform basis; a matched basis reproduces Bob's bit except with
-    ``flip_prob``, a mismatched basis yields a fair coin.  Undetected
-    pulses are simply absent (detection notification is implicit); a
-    record's index is its pulse's position.
+    Each pulse survives independently with ``detection_prob``, the chance
+    Alice registers it at all; Alice picks a uniform basis; a matched
+    basis reproduces Bob's bit except with ``flip_prob`` (the simulated
+    QBER), a mismatched basis yields a fair coin.  Undetected pulses are
+    simply absent (detection notification is implicit); a record's index
+    is its pulse's position.  The session's configuration checks both
+    probabilities.
     """
     n = len(pulses)
     rng = np.random.default_rng(rng_seed)
-    detected = np.flatnonzero(rng.random(n) < channel.detection_prob)
+    detected = np.flatnonzero(rng.random(n) < detection_prob)
     alice = rng.integers(0, 2, size=n)[detected]
-    flips = (rng.random(n) < channel.flip_prob)[detected]
+    flips = (rng.random(n) < flip_prob)[detected]
     coins = rng.integers(0, 2, size=n)[detected]
 
     sent = pulses[detected]
@@ -125,26 +108,3 @@ def distill(sifted: np.ndarray, rate: float) -> np.ndarray:
     rank = np.cumsum(sifted, axis=-1)
     credit = np.floor(rank[..., -1:] * rate)
     return sifted & (rank <= credit)
-
-
-def export_stream(
-    records: np.ndarray, frames: np.ndarray, credited_bits: int, include_records: bool = True
-) -> dict:
-    """Structured JSON document for one preparation-phase run."""
-    classes = [FrameClass.NORMAL.value, FrameClass.COMMITMENT_CANDIDATE.value]
-    bases = ("rect", "diag")
-    candidate = classify_frame(frames, frames.shape[1] // 4)
-    doc = {
-        "record_count": len(records),
-        "frames": [
-            {"classification": classes[c], "indices": indices}
-            for c, indices in zip(candidate.tolist(), frames["index"].tolist())
-        ],
-        "key_credit": credited_bits,
-    }
-    if include_records:
-        doc["records"] = [
-            {"index": i, "alice_basis": bases[a], "outcome": o}
-            for i, a, o, _, _ in records.tolist()
-        ]
-    return doc

@@ -235,10 +235,9 @@ def cmd_route(args) -> int:
             report["reservation"] = None
         else:
             chosen = relay_routing.vc_select(candidates, args.alpha)
-            reservation = relay_routing.reserve_circuit(
+            report["reservation"] = relay_routing.reserve_circuit(
                 graph, chosen, candidates, traffic
             )
-            report["reservation"] = reservation.to_json_dict()
         report["chosen"] = {
             "path": list(chosen.nodes),
             "edge_probs": list(chosen.edge_probs),

@@ -24,7 +24,6 @@ import numpy as np
 from . import bb84_frames, math_core
 from .bb84_frames import (
     RECORD,
-    ChannelModel,
     assemble_frames,
     distill,
     prepare_pulses,
@@ -52,10 +51,6 @@ class InsufficientKeyError(Exception):
     """Raised when a key buffer cannot cover a requested encryption."""
 
 
-class MissingPayloadError(Exception):
-    """Raised when a relay is asked to compare a payload it never got."""
-
-
 class Verdict(enum.Enum):
     ACCEPT0 = "accept0"
     ACCEPT1 = "accept1"
@@ -77,10 +72,6 @@ MAX_PULSES = 2**30
 #: every batch at a cost of 2N exact binomials, so one frame took 0.13 s
 #: at N = 1024, 3.6 s at 4096 and 23 s at 8192.
 MAX_N_QUARTER = 1024
-
-
-class CheatStrategy(enum.Enum):
-    CLAIM_OTHER_BASIS = "claim_other_basis"
 
 
 class KeyBuffer:
@@ -189,13 +180,6 @@ def try_commit(
         CommitMessage(frame_id, CHANNEL_P0, ct0, off0),
         CommitMessage(frame_id, CHANNEL_P1, ct1, off1),
     )
-
-
-def relay_consistency_check(payload0: Bits | None, payload1: Bits | None) -> bool:
-    """Bob's cross-check of the two relays' decrypted payloads."""
-    if payload0 is None or payload1 is None:
-        raise MissingPayloadError("a relay never received its commit message")
-    return tuple(payload0) == tuple(payload1)
 
 
 def compute_verification_counts(
@@ -353,9 +337,6 @@ class SessionConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def channel(self) -> ChannelModel:
-        return ChannelModel(self.detection_prob, self.flip_prob)
-
 
 def frame_batches(
     config: SessionConfig, budget: int | None = None
@@ -368,7 +349,6 @@ def frame_batches(
     batch that holds it.
     """
     seeds = np.random.SeedSequence(config.seed)
-    channel = config.channel()
     size = 4 * config.n_quarter
     batch_pulses = max(4096, size * 64)
     pending = np.empty(0, RECORD)
@@ -377,9 +357,10 @@ def frame_batches(
         s_prep, s_chan = seeds.spawn(1)[0].generate_state(2)
         # spawn once per batch keeps seeds independent and reproducible
         pulses = prepare_pulses(batch_pulses, int(s_prep))
-        pending = np.concatenate(
-            (pending, transmit_and_measure(pulses, channel, int(s_chan)))
+        records = transmit_and_measure(
+            pulses, config.detection_prob, config.flip_prob, int(s_chan)
         )
+        pending = np.concatenate((pending, records))
         frames = assemble_frames(pending, config.n_quarter)
         pending = pending[frames.size :]
         yield frames if budget is None else frames[: budget - first_id]
@@ -528,7 +509,8 @@ def run_session(config: SessionConfig) -> SessionTranscript:
             payload1 = otp_decrypt(
                 msg1.payload_ciphertext, buffers[CHANNEL_P1], msg1.key_offset
             )
-            consistent = relay_consistency_check(payload0, payload1)
+            # Bob's cross-check of the two relays' decrypted payloads
+            consistent = payload0 == payload1
             entry = {
                 "frame_id": msg0.frame_id,
                 "messages": [
@@ -576,9 +558,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     return transcript
 
 
-def simulate_cheating_alice(
-    strategy: CheatStrategy, config: SessionConfig, trials: int
-) -> tuple[float, float]:
+def simulate_cheating_alice(config: SessionConfig, trials: int) -> tuple[float, float]:
     """Empirical unveiling-success frequencies (p0_hat, p1_hat).
 
     Alice commits via the basis of ``config.commit_bit``.  For the
@@ -590,8 +570,6 @@ def simulate_cheating_alice(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not isinstance(strategy, CheatStrategy):
-        raise ValueError(f"unknown strategy {strategy!r}")
     cb = Codebook(config.n_quarter, config.x)
     succ = [0, 0]
     done = 0

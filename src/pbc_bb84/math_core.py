@@ -25,6 +25,10 @@ BINDING_VARIANTS = (VARIANT_LITERAL, VARIANT_HOEFFDING)
 #: 10,000 points take about 0.4 ms.
 MAX_DELTA_GRID = 2**20
 
+#: Largest accepted ``n_tol``.  The error-ball sum has floor(E_tol*N_tol)
+#: terms: at 2^20 and E_tol = 0.45 it alone takes about 0.5 s.
+MAX_N_TOL = 2**20
+
 
 @dataclass(frozen=True)
 class RateParams:
@@ -70,8 +74,8 @@ class BindingParams:
     def __post_init__(self):
         if not 0.0 <= self.p_commit <= 1.0:
             raise ValueError("p_commit must lie in [0, 1]")
-        if self.n_tol < 1:
-            raise ValueError("n_tol must be a positive integer")
+        if not 1 <= self.n_tol <= MAX_N_TOL:
+            raise ValueError(f"n_tol must lie in [1, {MAX_N_TOL}]")
         if not 0.0 <= self.e_tol < 0.5:
             raise ValueError("e_tol must lie in [0, 0.5)")
         if not 2 <= self.delta_grid <= MAX_DELTA_GRID:
@@ -221,7 +225,9 @@ def binding_bound(bp: BindingParams, variant: str = VARIANT_LITERAL) -> float:
     hoeffding variant.  The infimum is a uniform grid of ``delta_grid``
     points strictly inside the open interval (half-step insets at both
     ends), at most ``MAX_DELTA_GRID`` of them, evaluated in one numpy pass
-    over the whole grid.  The result is clamped to [0, +inf).
+    over the whole grid.  An eps_b whose float would overflow, or
+    underflow to 0 (first in the grid minimum, at large N_tol), raises
+    ValueError.
 
     For m = floor(E_tol*N_tol) = 0, eps_b is non-increasing in N_tol: the
     error-ball factor is 1, and each grid term x + exp(G)*(2 - x), with
@@ -267,7 +273,10 @@ def binding_bound(bp: BindingParams, variant: str = VARIANT_LITERAL) -> float:
     log2_eps = (
         math.log2(p)
         + binary_entropy(p)
-        + math.log2(best)
+        + (math.log2(best) if best > 0.0 else -math.inf)
         + _log2_error_ball(n, m)
     )
-    return max(0.0, 2.0**log2_eps)
+    # 2^1024 overflows a float, and 2^-1074 is its smallest positive value
+    if not -1074.0 <= log2_eps < 1024.0:
+        raise ValueError(f"n_tol = {n}: eps_b lies outside the float range")
+    return 2.0**log2_eps

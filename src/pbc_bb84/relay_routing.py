@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 #: Most simple paths a discovery may list, and most routes short of the
@@ -21,10 +21,6 @@ from itertools import chain
 #: the search where many routes end in a part of the graph that the
 #: destination can be reached from only through the route itself.
 MAX_PATHS = 2**17
-
-
-class AlreadyReservedError(Exception):
-    """Raised when a traffic spec tries to reserve a second circuit."""
 
 
 class TooManyPathsError(ValueError):
@@ -66,9 +62,6 @@ class TrafficSpec:
             doc["src"], doc["dst"],
             _integral(doc["n_packets"]), _integral(doc["packet_len"]),
         )
-
-    def key(self) -> tuple:
-        return (self.source, self.destination, self.n_packets, self.packet_len)
 
 
 class NetworkGraph:
@@ -116,9 +109,6 @@ class NetworkGraph:
         if not nodes:
             raise ValueError("network has no nodes")
         return cls(nodes, edges)
-
-    def buffer_bits(self, a: str, b: str) -> int:
-        return self.buffers[frozenset((a, b))]
 
 
 @dataclass(frozen=True)
@@ -233,10 +223,6 @@ def _simple_paths(graph: NetworkGraph, src: str, dst: str):
     return paths, edges
 
 
-def _edges_of(nodes: tuple[str, ...]):
-    return [frozenset((a, b)) for a, b in zip(nodes, nodes[1:])]
-
-
 def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     """Every simple path from source to destination.
 
@@ -303,93 +289,34 @@ def vc_select(candidates: Candidates, alpha: float) -> PathChoice:
     ])
 
 
-class ReservationLedger:
-    """Commitment handles per traffic spec; single-writer by contract."""
-
-    def __init__(self):
-        self._entries: dict[tuple, dict] = {}
-
-    def is_reserved(self, traffic: TrafficSpec) -> bool:
-        return traffic.key() in self._entries
-
-    def record(self, traffic: TrafficSpec, entry: dict) -> None:
-        if traffic.key() in self._entries:
-            raise AlreadyReservedError(
-                f"traffic {traffic.key()} already holds a committed circuit"
-            )
-        self._entries[traffic.key()] = entry
-
-    def entry(self, traffic: TrafficSpec) -> dict:
-        return self._entries[traffic.key()]
-
-
-@dataclass
-class ReservationReport:
-    """Outcome of a circuit reservation, JSON-exportable."""
-
-    path: tuple[str, ...]
-    before_probs: tuple[float, ...]
-    after_probs: tuple[float, ...]
-    handles: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "path": list(self.path),
-            "before_probs": list(self.before_probs),
-            "after_probs": list(self.after_probs),
-            "handles": self.handles,
-        }
-
-
 def reserve_circuit(
     graph: NetworkGraph,
     chosen: PathChoice,
     candidates: Candidates,
     traffic: TrafficSpec,
-    ledger: ReservationLedger | None = None,
-    full: bool = False,
-    seed: int = 0,
-) -> ReservationReport:
+) -> dict:
     """Commit the source to ``chosen`` and release every other candidate.
 
-    Each relay on the chosen path gets a commitment handle (a ledger stub
-    in fast mode; a full commit-protocol session per relay when ``full``).
-    Edges on non-chosen candidates drop their provisional load, so the
-    chosen path's recomputed serve probabilities never decrease.
+    Each relay on the chosen path gets a commitment handle, the string
+    ``commit:src->dst:relay``; no session is run.  Edges on non-chosen
+    candidates drop their provisional load, so the chosen path's
+    recomputed serve probabilities never decrease.  Returns the
+    reservation as the route report writes it.
     """
-    if chosen.nodes not in candidates.paths:
-        raise ValueError("chosen path is not in the candidate set")
-    if ledger is not None and ledger.is_reserved(traffic):
-        raise AlreadyReservedError(
-            f"traffic {traffic.key()} already holds a committed circuit"
-        )
-
-    after = tuple(
-        serve_probability(graph.buffers[edge], traffic.n_packets, traffic.packet_len)
-        for edge in _edges_of(chosen.nodes)
-    )
-    handles = []
-    for i, relay in enumerate(chosen.nodes):
-        handle = {
-            "relay": relay,
-            "handle": f"commit:{traffic.source}->{traffic.destination}:{relay}",
-        }
-        if full:
-            # deferred import: routing stays usable without the protocol
-            from .commitment_protocol import SessionConfig, run_session
-
-            transcript = run_session(
-                SessionConfig(seed=seed + i, frame_budget=200)
-            )
-            handle["session_status"] = transcript.status
-        handles.append(handle)
-
-    report = ReservationReport(
-        path=chosen.nodes,
-        before_probs=chosen.edge_probs,
-        after_probs=after,
-        handles=handles,
-    )
-    if ledger is not None:
-        ledger.record(traffic, report.to_json_dict())
-    return report
+    try:
+        edges = candidates.edges[candidates.paths.index(chosen.nodes)]
+    except ValueError:
+        raise ValueError("chosen path is not in the candidate set") from None
+    bits = list(graph.buffers.values())
+    return {
+        "path": list(chosen.nodes),
+        "before_probs": list(chosen.edge_probs),
+        "after_probs": [
+            serve_probability(bits[edge], traffic.n_packets, traffic.packet_len)
+            for edge in edges
+        ],
+        "handles": [
+            {"relay": relay, "handle": f"commit:{traffic.source}->{traffic.destination}:{relay}"}
+            for relay in chosen.nodes
+        ],
+    }

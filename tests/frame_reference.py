@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pbc_bb84.bb84_frames import ChannelModel, FrameClass
+from pbc_bb84.bb84_frames import FrameClass
 
 
 class Basis(enum.Enum):
@@ -71,13 +71,13 @@ def prepare_pulses(count: int, rng_seed: int) -> list[Pulse]:
 
 
 def transmit_and_measure(
-    pulses: list[Pulse], channel: ChannelModel, rng_seed: int
+    pulses: list[Pulse], detection_prob: float, flip_prob: float, rng_seed: int
 ) -> list[MeasurementRecord]:
     n = len(pulses)
     rng = np.random.default_rng(rng_seed)
-    detected = rng.random(n) < channel.detection_prob
+    detected = rng.random(n) < detection_prob
     alice_bases = rng.integers(0, 2, size=n)
-    flips = rng.random(n) < channel.flip_prob
+    flips = rng.random(n) < flip_prob
     coins = rng.integers(0, 2, size=n)
 
     records = []
@@ -140,14 +140,15 @@ def frame_stream(config):
     4096-pulse batches, one ``SeedSequence.spawn`` each, and detected
     records carried over between batches."""
     seeds = np.random.SeedSequence(config.seed)
-    channel = config.channel()
     size = 4 * config.n_quarter
     batch_pulses = max(4096, size * 64)
     pending: list = []
     while True:
         s_prep, s_chan = seeds.spawn(1)[0].generate_state(2)
         pulses = prepare_pulses(batch_pulses, int(s_prep))
-        pending.extend(transmit_and_measure(pulses, channel, int(s_chan)))
+        pending.extend(transmit_and_measure(
+            pulses, config.detection_prob, config.flip_prob, int(s_chan)
+        ))
         n_full = len(pending) // size
         yield from assemble_frames(pending[: n_full * size], config.n_quarter)
         pending = pending[n_full * size :]

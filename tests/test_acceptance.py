@@ -374,9 +374,7 @@ def test_10_binding_smoke():
         for v in mc.BINDING_VARIANTS
     )
     config = cp.SessionConfig(n_quarter=2, x=6, n_tol=2, e_tol=0.25, seed=10)
-    p0_hat, p1_hat = cp.simulate_cheating_alice(
-        cp.CheatStrategy.CLAIM_OTHER_BASIS, config, 10_000
-    )
+    p0_hat, p1_hat = cp.simulate_cheating_alice(config, 10_000)
     total = p0_hat + p1_hat
     elapsed = time.perf_counter() - start
     ok = total <= 1 + eps_b and elapsed < 60.0

@@ -4,7 +4,8 @@
 ``bb84_frames``, ``codebook`` and the other modules by name, and its
 per-layer metrics read 0 without notice when a wrapped name is deleted or
 no longer called through its module.  This runs the tracer, unchanged,
-over one small ``commit_all`` session.
+over one small ``commit_all`` session, one ``route --mode vc`` on a
+diamond graph and the default ``binding`` grid.
 """
 
 import importlib.util
@@ -34,11 +35,23 @@ def test_spans_recorded_and_attributes_restored(tmp_path):
     before = [dict(vars(owner)) for owner in MODULES]
     config = tmp_path / "session.json"
     config.write_text(json.dumps({"seed": 1, "frame_budget": 300, "commit_all": True}))
+    network = tmp_path / "net.json"
+    network.write_text(json.dumps({
+        "nodes": ["A", "B", "C", "D"],
+        "edges": [
+            {"a": a, "b": b, "buffer_bits": 50} for a, b in ("AB", "BD", "AC", "CD")
+        ],
+        "traffic": {"src": "A", "dst": "D", "n_packets": 10, "packet_len": 10},
+    }))
 
     tracer = tracing.Tracer()
     tracing.instrument(tracer)
     try:
         assert cli.main(["simulate", "--config", str(config), "-o", str(tmp_path / "t.json")]) == 0
+        assert cli.main(
+            ["route", "--network", str(network), "--mode", "vc", "-o", str(tmp_path / "r.json")]
+        ) == 0
+        assert cli.main(["binding", "--delta-grid", "10", "-o", str(tmp_path / "b.csv")]) == 0
     finally:
         tracer.remove()
 
@@ -50,6 +63,10 @@ def test_spans_recorded_and_attributes_restored(tmp_path):
         "codebook.is_codeword",
         "commitment_protocol.KeyBuffer.extend",
         "commitment_protocol.otp_decrypt",
+        "relay_routing.flood_discover",
+        "relay_routing.vc_select",
+        "relay_routing.reserve_circuit",
+        "math_core.binding_bound",
     ):
         assert calls.get(name, 0) > 0, name
     for owner, attrs in zip(MODULES, before):

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -140,6 +142,49 @@ class TestBinding:
         assert not out.exists()
         assert run_cli(["binding", *grid, "-o", "-"]) == 64
         assert capsys.readouterr().out == ""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        p=st.one_of(st.floats(0.0, 1.0), st.floats()),
+        n_tol=st.one_of(
+            st.integers(-2, 2000),
+            st.integers(1, mc.MAX_N_TOL + 10),
+            st.sampled_from([2**64, 10**400, 10**4000]),
+        ),
+        e_tol=st.one_of(st.floats(0.0, 0.5), st.floats()),
+        variant=st.sampled_from([*mc.BINDING_VARIANTS, "both"]),
+        delta_grid=st.integers(0, 64),
+    )
+    def test_fuzz_exit_codes(self, p, n_tol, e_tol, variant, delta_grid):
+        # every accepted argument list ends in a CSV, or in exit 64 with
+        # one line and no file; an exception would fail the test here
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "binding.csv")
+            err = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(err):
+                code = run_cli([
+                    "binding", f"--p={p!r}", f"--n-tol={n_tol}", f"--e-tol={e_tol!r}",
+                    "--variant", variant, "--delta-grid", str(delta_grid), "-o", out,
+                ])
+            assert time.perf_counter() - start < 2.0
+            assert code in (0, 64)
+            if code == 64:
+                assert err.getvalue().count("\n") == 1
+                assert not os.path.exists(out)
+
+    def test_float_range_refused(self, tmp_path, capsys):
+        out = tmp_path / "binding.csv"
+        for grid in (
+            ["--n-tol", "720", "--e-tol", "0.45"],  # eps_b above 2^1024
+            ["--n-tol", "6000", "--e-tol", "0"],  # the grid minimum underflows
+            ["--n-tol", str(mc.MAX_N_TOL + 1)],
+        ):
+            start = time.perf_counter()
+            assert run_cli(["binding", *grid, "-o", str(out)]) == 64
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err.count("\n") == 1
+            assert not out.exists()
 
 
 class TestSimulate:

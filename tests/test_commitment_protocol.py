@@ -9,17 +9,14 @@ from pbc_bb84.bb84_frames import RECORD, FrameClass, sift_records
 from pbc_bb84.codebook import Codebook, MODE_COMPRESSED, is_codeword
 from pbc_bb84 import commitment_protocol as proto
 from pbc_bb84.commitment_protocol import (
-    CheatStrategy,
     CommitMessage,
     InsufficientKeyError,
     KeyBuffer,
-    MissingPayloadError,
     SessionConfig,
     Verdict,
     bob_verify,
     otp_decrypt,
     otp_encrypt,
-    relay_consistency_check,
     run_session,
     simulate_cheating_alice,
     try_commit,
@@ -130,15 +127,23 @@ class TestTryCommit:
 
 
 class TestRelayConsistency:
+    """Bob's cross-check of the two relays' decrypted payloads, made
+    inside ``run_session`` on every commitment."""
+
+    CONFIG = dict(seed=9, frame_budget=500, commit_all=True)
+
     def test_identical(self):
-        assert relay_consistency_check((0, 1, 1, 0), (0, 1, 1, 0))
+        transcript = run_session(SessionConfig(**self.CONFIG))
+        assert len(transcript.commitments) > 1
+        assert all(c["relay_consistent"] for c in transcript.commitments)
 
     def test_one_bit_differs(self):
-        assert not relay_consistency_check((0, 1, 1, 0), (0, 1, 1, 1))
-
-    def test_missing(self):
-        with pytest.raises(MissingPayloadError):
-            relay_consistency_check((0, 1), None)
+        # a flip at any payload position splits the relays on the first
+        # commitment only, the one tampered
+        for bit in range(4):
+            transcript = run_session(SessionConfig(**self.CONFIG, tamper_p1_bit=bit))
+            flags = [c["relay_consistent"] for c in transcript.commitments]
+            assert flags[0] is False and all(flags[1:]), bit
 
 
 class TestBobVerify:
@@ -341,18 +346,10 @@ class TestRunSession:
 class TestCheatingAlice:
     def test_trials_guard(self):
         with pytest.raises(ValueError):
-            simulate_cheating_alice(
-                CheatStrategy.CLAIM_OTHER_BASIS, SessionConfig(seed=0), 0
-            )
-
-    def test_strategy_guard(self):
-        with pytest.raises(ValueError):
-            simulate_cheating_alice("other", SessionConfig(seed=0), 10)
+            simulate_cheating_alice(SessionConfig(seed=0), 0)
 
     def test_honest_side_near_one(self):
-        p0, p1 = simulate_cheating_alice(
-            CheatStrategy.CLAIM_OTHER_BASIS, SessionConfig(seed=3), 500
-        )
+        p0, p1 = simulate_cheating_alice(SessionConfig(seed=3), 500)
         assert p0 == pytest.approx(1.0, abs=1e-9)  # noiseless honest unveiling
         assert p1 < 0.5  # luck only
 

@@ -367,3 +367,6 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             mc.BindingParams(0.1, 10, 0.05, delta_grid=mc.MAX_DELTA_GRID + 1)
         mc.BindingParams(0.1, 10, 0.05, delta_grid=mc.MAX_DELTA_GRID)
+        with pytest.raises(ValueError):
+            mc.BindingParams(0.1, mc.MAX_N_TOL + 1, 0.05)
+        mc.BindingParams(0.1, mc.MAX_N_TOL, 0.05)
