@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 from typing import Iterator
 
 import numpy as np
@@ -83,12 +83,13 @@ class KeyBuffer:
     """
 
     def __init__(self):
-        self._bits: list[int] = []
+        self._chunks = [np.empty(0, np.int64)]
+        self._total = 0
         self._consumed = 0
 
     @property
     def total(self) -> int:
-        return len(self._bits)
+        return self._total
 
     @property
     def consumed(self) -> int:
@@ -96,13 +97,15 @@ class KeyBuffer:
 
     @property
     def available(self) -> int:
-        return len(self._bits) - self._consumed
+        return self._total - self._consumed
 
     def extend(self, bits) -> None:
-        self._bits.extend((np.asarray(bits, dtype=np.int64) & 1).tolist())
+        chunk = np.asarray(bits, dtype=np.int64) & 1
+        self._chunks.append(chunk)
+        self._total += len(chunk)
 
-    def consume(self, length: int) -> tuple[Bits, int]:
-        """Next ``length`` unspent bits and their starting offset."""
+    def consume(self, length: int) -> int:
+        """Spend the next ``length`` unspent bits; returns their offset."""
         if length < 0:
             raise ValueError("length must be non-negative")
         if self.available < length:
@@ -110,37 +113,26 @@ class KeyBuffer:
                 f"need {length} key bits, only {self.available} available"
             )
         offset = self._consumed
-        out = tuple(self._bits[offset : offset + length])
         self._consumed += length
-        return out, offset
+        return offset
 
-    def peek(self, offset: int, length: int) -> Bits:
-        """Read already-distributed key material without consuming it."""
-        if offset < 0 or offset + length > len(self._bits):
+    def peek(self, offsets, length: int) -> np.ndarray:
+        """Key bits ``[offset, offset + length)`` for each offset, one row
+        each, without consuming them."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if offsets.size and (offsets.min() < 0 or offsets.max() + length > self._total):
             raise ValueError("peek range outside buffer")
-        return tuple(self._bits[offset : offset + length])
+        if len(self._chunks) > 1:
+            self._chunks = [np.concatenate(self._chunks)]
+        return self._chunks[0][offsets[:, None] + np.arange(length)]
 
 
-@dataclass(frozen=True)
-class CommitMessage:
-    """OTP-encrypted commit payload for one relay channel."""
-
-    frame_id: int
-    channel: str
-    payload_ciphertext: Bits
-    key_offset: int
-
-
-def otp_encrypt(plaintext: Bits, buffer: KeyBuffer) -> tuple[Bits, int]:
-    """XOR with the next unspent key bits; consumes them atomically."""
-    key, offset = buffer.consume(len(plaintext))
-    return tuple(p ^ k for p, k in zip(plaintext, key)), offset
-
-
-def otp_decrypt(ciphertext: Bits, buffer: KeyBuffer, key_offset: int) -> Bits:
-    """XOR back using peeked key material (no further consumption)."""
-    key = buffer.peek(key_offset, len(ciphertext))
-    return tuple(c ^ k for c, k in zip(ciphertext, key))
+def otp_decrypt(
+    ciphertexts: np.ndarray, buffer: KeyBuffer, key_offsets
+) -> np.ndarray:
+    """XOR each ``(n, L)`` ciphertext row back with the key at its offset,
+    peeked (no further consumption)."""
+    return ciphertexts ^ buffer.peek(key_offsets, ciphertexts.shape[1])
 
 
 def try_commit(
@@ -149,9 +141,8 @@ def try_commit(
     cb: Codebook,
     buffer_p0: KeyBuffer,
     buffer_p1: KeyBuffer,
-    frame_id: int = 0,
     mode: str = MODE_RAW,
-) -> tuple[CommitMessage, CommitMessage] | None:
+) -> tuple[Bits, int, int] | None:
     """Attempt to commit ``bit`` in a commitment-candidate frame, a
     ``(4N,)`` row of records.
 
@@ -159,6 +150,7 @@ def try_commit(
     for 1) must form a codeword; otherwise None is returned and the frame
     falls back to Normal handling.  Key is checked on both channels before
     either buffer is touched, so a failed attempt never half-consumes pad.
+    Returns the payload and the offsets of its pad on P0 and on P1.
     """
     alice = row["alice_basis"]
     if 2 * np.count_nonzero(alice == 0) != len(row):
@@ -174,12 +166,7 @@ def try_commit(
             f"commit needs {len(payload)} bits on each channel "
             f"(available: {buffer_p0.available}/{buffer_p1.available})"
         )
-    ct0, off0 = otp_encrypt(payload, buffer_p0)
-    ct1, off1 = otp_encrypt(payload, buffer_p1)
-    return (
-        CommitMessage(frame_id, CHANNEL_P0, ct0, off0),
-        CommitMessage(frame_id, CHANNEL_P1, ct1, off1),
-    )
+    return payload, buffer_p0.consume(len(payload)), buffer_p1.consume(len(payload))
 
 
 def compute_verification_counts(
@@ -217,30 +204,26 @@ def bob_verify(
     payloads: np.ndarray,
     n_tol: int,
     e_tol: float,
-    claimed_bit: int | None = None,
+    claimed_bit: int,
 ) -> tuple[list[Verdict], np.ndarray]:
     """Bob's acceptance decision on each row, after the relays agree.
 
-    Arguments are as for :func:`compute_verification_counts`.  Accept0
-    needs n_rect >= n_tol, n_diag >= n_tol, the payload aligned on the
+    Arguments are as for :func:`compute_verification_counts`;
+    ``claimed_bit`` is the bit Alice's unveiling names.  Accept0 needs
+    n_rect >= n_tol, n_diag >= n_tol, the payload aligned on the
     rectilinear-disclosed positions, and at most e_tol * n_tol errors
     against Bob's sent bits there; Accept1 symmetrically on the diagonal
-    side.  With ``claimed_bit`` set only that branch is evaluated (Alice's
-    unveiling names the bit); otherwise 0 is tried before 1.  Returns one
-    verdict per row and the ``(n, 4)`` counts.
+    side.  Returns one verdict per row and the ``(n, 4)`` counts.
     """
     disclosure, payloads = np.asarray(disclosure), np.asarray(payloads)
     counts = compute_verification_counts(rows, disclosure, payloads)
-    aligned = np.stack(
-        [np.count_nonzero(disclosure == basis, axis=1) for basis in (0, 1)], axis=1
-    ) == payloads.shape[1]
+    aligned = np.count_nonzero(disclosure == claimed_bit, axis=1) == payloads.shape[1]
     passes = (
         aligned
-        & (counts[:, 2:] <= e_tol * n_tol)
-        & (counts[:, :2].min(axis=1) >= n_tol)[:, None]
+        & (counts[:, 2 + claimed_bit] <= e_tol * n_tol)
+        & (counts[:, :2].min(axis=1) >= n_tol)
     )
-    bits = (0, 1) if claimed_bit is None else (claimed_bit,)
-    codes = np.select([passes[:, bit] for bit in bits], bits, default=2)
+    codes = np.where(passes, claimed_bit, 2)
     return [_VERDICTS[c] for c in codes.tolist()], counts
 
 
@@ -440,7 +423,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     toggle = 0
 
     transcript = SessionTranscript(config=config.to_dict())
-    pending_unveil = []  # (msg0, msg1, send_time)
+    records = []  # (frame_id, payload, P0 key offset, P1 key offset)
     committed = []  # each batch's rows of committing frames
 
     for frames in frame_batches(config, config.frame_budget):
@@ -454,7 +437,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
         commits = np.zeros(len(frames), bool)
         start = 0  # the first frame whose key is not dealt yet
         for i in np.flatnonzero(eligible).tolist():
-            if pending_unveil and not config.commit_all:
+            if records and not config.commit_all:
                 break
             if not countable[i]:
                 transcript.threshold_skipped += 1
@@ -462,19 +445,14 @@ def run_session(config: SessionConfig) -> SessionTranscript:
             toggle = _deal_key(key[key_start[start] : key_start[i]], buffers, toggle)
             start = i
             try:
-                msg0, msg1 = try_commit(
+                commit = try_commit(
                     frames[i], config.commit_bit, cb,
-                    buffers[CHANNEL_P0], buffers[CHANNEL_P1],
-                    frame_id=first_id + i, mode=config.payload_mode,
+                    buffers[CHANNEL_P0], buffers[CHANNEL_P1], config.payload_mode,
                 )
             except InsufficientKeyError:
                 transcript.insufficient_key_aborts += 1
                 continue
-            if config.tamper_p1_bit is not None and not pending_unveil:
-                ct = list(msg1.payload_ciphertext)
-                ct[config.tamper_p1_bit] ^= 1
-                msg1 = replace(msg1, payload_ciphertext=tuple(ct))
-            pending_unveil.append((msg0, msg1, first_id + i))
+            records.append((first_id + i, *commit))
             # a committing frame distills nothing
             commits[i] = True
             start = i + 1
@@ -486,65 +464,57 @@ def run_session(config: SessionConfig) -> SessionTranscript:
         transcript.eligible_frames += int(np.count_nonzero(eligible))
 
     # Unveiling: waiting-time schedule, relay cross-check, Bob's verdict.
-    if pending_unveil:
+    if records:
+        frame_ids, payloads, *offsets = zip(*records)
         waits = {CHANNEL_P0: config.wait_p0, CHANNEL_P1: config.wait_p1}
-        send_times = {}
-        for msg0, msg1, t in pending_unveil:
-            send_times[(msg0.frame_id, CHANNEL_P0)] = t
-            send_times[(msg1.frame_id, CHANNEL_P1)] = t
         transcript.schedule = {
             "waits": waits,
-            "send_times": {
-                f"{fid}:{ch}": t for (fid, ch), t in send_times.items()
-            },
+            # each commitment goes to both relays in its own frame
+            "send_times": {f"{fid}:{ch}": fid for fid in frame_ids for ch in waits},
             # every unveiling lands on one epoch, after the last wait ends
-            "epoch": max(t + waits[ch] for (_, ch), t in send_times.items()),
+            "epoch": frame_ids[-1] + max(waits.values()),
         }
 
-        checked, substrings = [], []  # entries whose relays agree, payloads
-        for msg0, msg1, _ in pending_unveil:
-            payload0 = otp_decrypt(
-                msg0.payload_ciphertext, buffers[CHANNEL_P0], msg0.key_offset
-            )
-            payload1 = otp_decrypt(
-                msg1.payload_ciphertext, buffers[CHANNEL_P1], msg1.key_offset
-            )
-            # Bob's cross-check of the two relays' decrypted payloads
-            consistent = payload0 == payload1
-            entry = {
-                "frame_id": msg0.frame_id,
-                "messages": [
-                    {
-                        "channel": m.channel,
-                        "key_offset": m.key_offset,
-                        "length": len(m.payload_ciphertext),
-                        "ciphertext_hex": pack_bits(m.payload_ciphertext).hex(),
-                    }
-                    for m in (msg0, msg1)
-                ],
-                "relay_consistent": consistent,
-            }
-            if consistent:
-                substring, _basis_flag = decode_payload(
-                    cb, payload0, config.payload_mode
-                )
-                checked.append(entry)
-                substrings.append(substring)
-            else:
-                entry["verdict"] = Verdict.REJECT.value
-                entry["counts"] = None
-            transcript.commitments.append(entry)
-
-        rows = np.concatenate(committed)[
-            [entry["relay_consistent"] for entry in transcript.commitments]
+        payloads = np.array(payloads)
+        length = payloads.shape[1]
+        pads = list(zip(buffers.values(), offsets))
+        # Alice's ciphertexts, one per relay; a tamper flips a bit of the
+        # first commitment's P1 copy
+        cts = [payloads ^ buffer.peek(off, length) for buffer, off in pads]
+        if config.tamper_p1_bit is not None:
+            cts[1][0, config.tamper_p1_bit] ^= 1
+        dec0, dec1 = (otp_decrypt(ct, *pad) for ct, pad in zip(cts, pads))
+        # Bob's cross-check of the two relays' decrypted payloads
+        consistent = (dec0 == dec1).all(axis=1)
+        substrings = [
+            decode_payload(cb, payload, config.payload_mode)[0]
+            for payload in dec0[consistent].tolist()
         ]
+        rows = np.concatenate(committed)[consistent]
         verdicts, counts = bob_verify(
             rows, rows["alice_basis"], np.array(substrings).reshape(-1, cb.length),
-            config.n_tol, config.e_tol, claimed_bit=config.commit_bit,
+            config.n_tol, config.e_tol, config.commit_bit,
         )
-        for entry, verdict, row in zip(checked, verdicts, counts.tolist()):
-            entry["verdict"] = verdict.value
-            entry["counts"] = dict(zip(COUNT_FIELDS, row))
+
+        verified = zip(verdicts, counts.tolist())
+        hexes = [[pack_bits(c).hex() for c in ct.tolist()] for ct in cts]
+        for k, ok in enumerate(consistent.tolist()):
+            verdict, row = next(verified) if ok else (Verdict.REJECT, None)
+            transcript.commitments.append({
+                "frame_id": frame_ids[k],
+                "messages": [
+                    {
+                        "channel": ch,
+                        "key_offset": off[k],
+                        "length": length,
+                        "ciphertext_hex": hx[k],
+                    }
+                    for ch, off, hx in zip(buffers, offsets, hexes)
+                ],
+                "relay_consistent": ok,
+                "verdict": verdict.value,
+                "counts": None if row is None else dict(zip(COUNT_FIELDS, row)),
+            })
 
         first = transcript.commitments[0]
         transcript.verdict = first["verdict"]
@@ -584,7 +554,7 @@ def simulate_cheating_alice(config: SessionConfig, trials: int) -> tuple[float, 
             disclosure = honest if target == config.commit_bit else 1 - honest
             verdicts, _ = bob_verify(
                 rows, disclosure, substrings,
-                config.n_tol, config.e_tol, claimed_bit=target,
+                config.n_tol, config.e_tol, target,
             )
             succ[target] += verdicts.count(_VERDICTS[target])
         done += len(rows)

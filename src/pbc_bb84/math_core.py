@@ -35,8 +35,7 @@ class RateParams:
     """Per-frame constants feeding the key-rate formulas.
 
     A frame holds ``4 * n_quarter`` signals.  ``leak_ec`` is the absolute
-    error-correction leakage in bits; ``f_ec`` is the error-correction
-    efficiency constant (~1.2).
+    error-correction leakage in bits.
     """
 
     n_quarter: int
@@ -44,7 +43,6 @@ class RateParams:
     leak_ec: float
     eps_sec: float
     eps_cor: float
-    f_ec: float = 1.2
 
     def __post_init__(self):
         if self.n_quarter < 1:
@@ -57,8 +55,6 @@ class RateParams:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1)")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
 
 
 @dataclass(frozen=True)

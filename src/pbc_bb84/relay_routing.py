@@ -120,10 +120,6 @@ class PathChoice:
     score: float = 0.0
 
     @property
-    def hops(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
     def viable(self) -> bool:
         return all(p > 0.0 for p in self.edge_probs)
 

@@ -85,6 +85,58 @@ class TestRates:
         run_cli(argv + ["-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["--n-quarter", "0"],
+        ["--n-quarter", str(2**1024)],
+        ["--q-steps", "0"],
+        ["--q-steps", str(cli.MAX_RATES_ROWS + 1), "--p-steps", "1"],
+        ["--q-steps", "1025", "--p-steps", "1024"],
+        ["--p-steps", str(10**8)],
+        ["--q-steps", "0", "--p-steps", str(10**400)],
+    ])
+    def test_refused_in_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "rates.csv"
+        start = time.perf_counter()
+        assert run_cli(["rates", *argv, "-o", str(out)]) == 64
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        q=st.tuples(*[st.one_of(st.floats(0.0, 0.5), st.floats())] * 2),
+        p=st.tuples(*[st.one_of(st.floats(0.0, 1.0), st.floats())] * 2),
+        steps=st.tuples(*[st.one_of(
+            st.integers(-2, 100),
+            st.sampled_from([cli.MAX_RATES_ROWS + 1, 10**8, 10**400]),
+        )] * 2),
+        n_quarter=st.one_of(
+            st.integers(-2, 2000), st.sampled_from([2**64, 10**308, 10**309, 10**4000]),
+        ),
+    )
+    def test_fuzz_exit_codes(self, q, p, steps, n_quarter):
+        # every accepted argument list ends in a CSV, or in exit 64 with
+        # one line and no file; an exception would fail the test here
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "rates.csv")
+            err = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(err):
+                code = run_cli([
+                    "rates", f"--q-min={q[0]!r}", f"--q-max={q[1]!r}",
+                    f"--p-min={p[0]!r}", f"--p-max={p[1]!r}",
+                    f"--q-steps={steps[0]}", f"--p-steps={steps[1]}",
+                    f"--n-quarter={n_quarter}", "-o", out,
+                ])
+            assert time.perf_counter() - start < 2.0
+            assert code in (0, 64)
+            if code == 64:
+                assert err.getvalue().count("\n") == 1
+                assert not os.path.exists(out)
+            else:
+                with open(out) as f:
+                    assert len(f.readlines()) == 1 + steps[0] * steps[1]
+
 
 class TestBinding:
     def test_matches_direct_call(self, tmp_path):

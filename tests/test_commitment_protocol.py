@@ -9,14 +9,12 @@ from pbc_bb84.bb84_frames import RECORD, FrameClass, sift_records
 from pbc_bb84.codebook import Codebook, MODE_COMPRESSED, is_codeword
 from pbc_bb84 import commitment_protocol as proto
 from pbc_bb84.commitment_protocol import (
-    CommitMessage,
     InsufficientKeyError,
     KeyBuffer,
     SessionConfig,
     Verdict,
     bob_verify,
     otp_decrypt,
-    otp_encrypt,
     run_session,
     simulate_cheating_alice,
     try_commit,
@@ -42,48 +40,52 @@ def make_frame(alice_bases, outcomes, bob_bases=None, bob_bits=None):
     return row
 
 
-def verify_one(frame, payload, *args, disclosure=None, **kwargs):
+def verify_one(frame, payload, claimed_bit, n_tol, e_tol, disclosure=None):
     """``bob_verify`` on one frame, disclosing Alice's bases unless told
     otherwise; returns the verdict and the counts by name."""
     if disclosure is None:
         disclosure = frame["alice_basis"]
-    verdicts, counts = bob_verify(frame[None], [disclosure], [payload], *args, **kwargs)
+    verdicts, counts = bob_verify(
+        frame[None], [disclosure], [payload], n_tol, e_tol, claimed_bit
+    )
     return verdicts[0], dict(zip(proto.COUNT_FIELDS, counts[0].tolist()))
 
 
 class TestKeyBuffer:
     def test_fifo_offsets(self):
         buf = make_buffer([1, 0, 1, 1, 0, 0, 1, 0])
-        _, off1 = otp_encrypt((0, 0, 0, 0), buf)
-        _, off2 = otp_encrypt((1, 1, 1, 1), buf)
-        assert (off1, off2) == (0, 4)
+        assert (buf.consume(4), buf.consume(4)) == (0, 4)
         assert buf.available == 0
+        assert buf.consume(0) == 8
 
     def test_zero_key(self):
         buf = make_buffer([0, 0, 0, 0])
-        ct, _ = otp_encrypt((0, 0, 0, 0), buf)
-        assert ct == (0, 0, 0, 0)
+        payloads = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
+        assert (otp_decrypt(payloads, buf, [0, 0]) == payloads).all()
 
     def test_xor_involution(self):
-        buf = make_buffer([1, 0, 1, 1, 0])
-        plaintext = (1, 1, 0, 1, 0)
-        ct, off = otp_encrypt(plaintext, buf)
-        assert ct == (0, 1, 1, 0, 0)
-        assert otp_decrypt(ct, buf, off) == plaintext
+        buf = make_buffer([1, 0, 1, 1, 0, 1, 1, 1, 0, 0])
+        payloads = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 1, 1]])
+        offsets = [buf.consume(5), buf.consume(5)]
+        ciphertexts = payloads ^ buf.peek(offsets, 5)
+        assert ciphertexts.tolist() == [[0, 1, 1, 0, 0], [1, 1, 1, 1, 1]]
+        assert otp_decrypt(ciphertexts, buf, offsets).tolist() == payloads.tolist()
 
     def test_insufficient_key_no_partial_consumption(self):
         buf = make_buffer([1, 0])
         with pytest.raises(InsufficientKeyError):
-            otp_encrypt((1, 1, 1), buf)
+            buf.consume(3)
         assert buf.consumed == 0
         assert buf.available == 2
 
     def test_peek_does_not_consume(self):
         buf = make_buffer([1, 0, 1])
-        assert buf.peek(0, 3) == (1, 0, 1)
+        assert buf.peek([0], 3).tolist() == [[1, 0, 1]]
+        assert buf.peek([0, 1], 2).tolist() == [[1, 0], [0, 1]]
         assert buf.consumed == 0
-        with pytest.raises(ValueError):
-            buf.peek(1, 3)
+        for offsets, length in (([1], 3), ([0, 1], 3), ([-1, 0], 1)):
+            with pytest.raises(ValueError):
+                buf.peek(offsets, length)
 
 
 class TestTryCommit:
@@ -95,13 +97,13 @@ class TestTryCommit:
         # rect outcomes in record order: 0,1,1,0 -> balanced
         cb = Codebook(2, 6)
         b0, b1 = self._buffers()
-        msgs = try_commit(frame, 0, cb, b0, b1, frame_id=7)
-        assert msgs is not None
-        msg0, msg1 = msgs
-        assert msg0.channel == "p0" and msg1.channel == "p1"
-        assert msg0.frame_id == 7
-        assert otp_decrypt(msg0.payload_ciphertext, b0, msg0.key_offset) == (0, 1, 1, 0)
-        assert otp_decrypt(msg1.payload_ciphertext, b1, msg1.key_offset) == (0, 1, 1, 0)
+        assert try_commit(frame, 0, cb, b0, b1) == ((0, 1, 1, 0), 0, 0)
+        payload, off0, off1 = try_commit(frame, 0, cb, b0, b1)
+        assert (off0, off1) == (4, 4)
+        assert b0.consumed == b1.consumed == 8
+        for buf, off in ((b0, off0), (b1, off1)):
+            ciphertext = np.array([payload]) ^ buf.peek([off], 4)
+            assert otp_decrypt(ciphertext, buf, [off]).tolist() == [[0, 1, 1, 0]]
 
     def test_unbalanced_substring_falls_back(self):
         frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 1, 0, 1])
@@ -152,20 +154,20 @@ class TestBobVerify:
             [R, R, D, R, D, R, D, D],
             [0, 1, 0, 1, 1, 0, 0, 1],
         )  # bob mirrors alice: all same-basis, no errors
-        verdict, counts = verify_one(frame, (0, 1, 1, 0), n_tol=2, e_tol=0.25)
+        verdict, counts = verify_one(frame, (0, 1, 1, 0), 0, n_tol=2, e_tol=0.25)
         assert verdict is Verdict.ACCEPT0
         assert counts["n_rect"] == 4 and counts["n_diag"] == 4
         assert counts["n_err_rect"] == 0
 
     def test_honest_accept1(self):
         frame = make_frame([D, D, R, D, R, D, R, R], [0, 1, 0, 1, 1, 0, 0, 1])
-        verdict, _ = verify_one(frame, (0, 1, 1, 0), n_tol=2, e_tol=0.25)
+        verdict, _ = verify_one(frame, (0, 1, 1, 0), 1, n_tol=2, e_tol=0.25)
         assert verdict is Verdict.ACCEPT1
 
     def test_error_threshold(self):
         frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
         # floor(e_tol * n_tol) = 0, so one injected error must reject
-        verdict, counts = verify_one(frame, (1, 1, 1, 0), n_tol=2, e_tol=0.25)
+        verdict, counts = verify_one(frame, (1, 1, 1, 0), 0, n_tol=2, e_tol=0.25)
         assert verdict is Verdict.REJECT
         assert counts["n_err_rect"] == 1
 
@@ -176,14 +178,15 @@ class TestBobVerify:
             [0, 1, 0, 1, 1, 0, 0, 1],
             bob_bases=[R, D, D, D, D, D, D, D],
         )
-        verdict, counts = verify_one(frame, (0, 1, 1, 0), n_tol=2, e_tol=0.25)
+        verdict, counts = verify_one(frame, (0, 1, 1, 0), 0, n_tol=2, e_tol=0.25)
         assert verdict is Verdict.REJECT
         assert counts["n_rect"] == 1
 
     def test_claimed_bit_restricts_branch(self):
         frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
-        verdict, _ = verify_one(frame, (0, 1, 1, 0), 2, 0.25, claimed_bit=1)
-        assert verdict in (Verdict.ACCEPT1, Verdict.REJECT)
+        # the frame accepts 0; claiming 1 checks the diagonal side only
+        verdict, _ = verify_one(frame, (0, 1, 1, 0), 1, 2, 0.25)
+        assert verdict is Verdict.REJECT
 
     def test_misaligned_basis_is_all_errors(self):
         # five positions disclosed rectilinear for a 4-bit payload: every
@@ -191,10 +194,11 @@ class TestBobVerify:
         # skipped; branch 1 has three diagonal positions and is skipped too
         frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
         disclosure = [R, R, D, R, D, R, D, R]
-        verdict, counts = verify_one(
-            frame, (0, 1, 1, 0), 1, 0.45, disclosure=disclosure
-        )
-        assert verdict is Verdict.REJECT
+        for bit in (0, 1):
+            verdict, counts = verify_one(
+                frame, (0, 1, 1, 0), bit, 1, 0.45, disclosure=disclosure
+            )
+            assert verdict is Verdict.REJECT
         assert counts["n_err_rect"] == counts["n_rect"] == 4
         assert counts["n_err_diag"] == counts["n_diag"] == 3
 
@@ -207,12 +211,17 @@ class TestBobVerify:
         ]
         payloads = [(0, 1, 1, 0), (0, 1, 1, 0), (1, 1, 1, 0)]
         rows = np.stack(frames)
-        verdicts, counts = bob_verify(rows, rows["alice_basis"], payloads, 2, 0.25)
-        for i, (frame, payload) in enumerate(zip(frames, payloads)):
-            verdict, one = verify_one(frame, payload, 2, 0.25)
-            assert verdicts[i] is verdict
-            assert counts[i].tolist() == list(one.values())
-        assert verdicts == [Verdict.ACCEPT0, Verdict.ACCEPT1, Verdict.REJECT]
+        expected = {
+            0: [Verdict.ACCEPT0, Verdict.REJECT, Verdict.REJECT],
+            1: [Verdict.REJECT, Verdict.ACCEPT1, Verdict.REJECT],
+        }
+        for bit, wanted in expected.items():
+            verdicts, counts = bob_verify(rows, rows["alice_basis"], payloads, 2, 0.25, bit)
+            for i, (frame, payload) in enumerate(zip(frames, payloads)):
+                verdict, one = verify_one(frame, payload, bit, 2, 0.25)
+                assert verdicts[i] is verdict
+                assert counts[i].tolist() == list(one.values())
+            assert verdicts == wanted
 
 
 class TestUnveilSchedule:
