@@ -52,6 +52,14 @@ GOLDEN = {
          "payload_mode": "compressed"}, 0,
         "6d3556cddc1d6e6e9d23f52f03a80bbe964abc39fa927349745a037a8defead1",
     ),
+    # rank width 5, the basis bit of bit 1, and a tamper on a compressed
+    # payload
+    "compressed_n_quarter_3": (
+        {"seed": 15, "n_quarter": 3, "x": 20, "frame_budget": 800,
+         "commit_all": True, "payload_mode": "compressed", "commit_bit": 1,
+         "tamper_p1_bit": 2}, 2,
+        "dcd5d2f79586264fa463dc5bac574c2f2107564c09410e8bc75405cda12edc3a",
+    ),
     "commit_bit_1": (
         {"seed": 5, "frame_budget": 600, "commit_all": True, "commit_bit": 1}, 0,
         "d360727b21b5d5ed95b9e2cff13d8e4b4102defc00d4385be8a7827a2f3883eb",
