@@ -207,7 +207,7 @@ def _write_candidates(stream, candidates, nodes) -> None:
 def _alpha(text: str) -> float:
     alpha = float(text)
     if not 0.0 <= alpha < math.inf:
-        raise argparse.ArgumentTypeError(f"alpha must be finite and non-negative: {text}")
+        raise argparse.ArgumentTypeError(f"alpha must be finite and non-negative: {text!r}")
     return alpha
 
 

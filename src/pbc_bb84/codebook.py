@@ -1,9 +1,10 @@
 """Commitment codebook: the first x balanced 2N-bit sequences in
 lexicographic order, with combinadic rank/unrank.
 
-Bit sequences are tuples of 0/1 ints, most-significant-first for
-lexicographic comparison.  Ranks are exact Python integers, so codebooks
-beyond the float range (N > 30) still work.
+``rank`` and ``unrank`` take tuples of 0/1 ints, most-significant-first
+for lexicographic comparison; the codeword test, payloads and packing take
+``(n, L)`` arrays of bits, one sequence a row.  Ranks are exact Python
+integers, so codebooks beyond the float range (N > 30) still work.
 """
 
 from __future__ import annotations
@@ -111,17 +112,9 @@ class Codebook:
         return max(0, (self.x - 1).bit_length()) if self.x > 1 else 0
 
 
-def is_codeword(cb: Codebook, seq: Bits) -> bool:
-    """True iff ``seq`` is balanced and its rank is below the cutoff x."""
-    if len(seq) != cb.length:
-        raise ValueError(f"expected {cb.length} bits, got {len(seq)}")
-    if sum(seq) != cb.n_half:
-        return False
-    return rank(seq) < cb.x
-
-
-def codeword_mask(cb: Codebook, rows: np.ndarray) -> np.ndarray:
-    """:func:`is_codeword` for each row of an ``(n, 2N)`` array of bits.
+def is_codeword(cb: Codebook, rows: np.ndarray) -> np.ndarray:
+    """Codeword mask over an ``(n, 2N)`` array of bits: a row is a codeword
+    iff it is balanced and its rank is below the cutoff x.
 
     A balanced row is a codeword iff it sorts before ``unrank(N, x)``, the
     first balanced sequence outside the codebook: at the first position
@@ -138,8 +131,11 @@ def codeword_mask(cb: Codebook, rows: np.ndarray) -> np.ndarray:
     return balanced & (rows[np.arange(len(rows)), first] < bound[first])
 
 
-def payload_bits(cb: Codebook, seq: Bits, commit_bit: int, mode: str = MODE_RAW) -> Bits:
-    """Commit payload for a codeword.
+def payload_bits(
+    cb: Codebook, rows: np.ndarray, commit_bit: int, mode: str = MODE_RAW
+) -> np.ndarray:
+    """Commit payloads of ``(n, 2N)`` codeword rows, one row each; the rows
+    are not checked against the codebook.
 
     Raw mode: the codeword itself.  Compressed mode: the codeword's rank,
     MSB first in ``cb.rank_bits()`` bits, followed by one basis bit.
@@ -148,14 +144,13 @@ def payload_bits(cb: Codebook, seq: Bits, commit_bit: int, mode: str = MODE_RAW)
         raise ValueError(f"unknown payload mode {mode!r}")
     if commit_bit not in (0, 1):
         raise ValueError("commit_bit must be 0 or 1")
-    if not is_codeword(cb, seq):
-        raise ValueError("sequence is not a codeword of this codebook")
+    rows = np.asarray(rows)
     if mode == MODE_RAW:
-        return tuple(seq)
-    r = rank(seq)
-    width = cb.rank_bits()
-    encoded = tuple((r >> (width - 1 - i)) & 1 for i in range(width))
-    return encoded + (commit_bit,)
+        return rows
+    # exact ranks as Python ints, shifted bit by bit on an object array
+    ranks = np.array([rank(row) for row in rows.tolist()], dtype=object)
+    bits = ranks[:, None] >> np.arange(cb.rank_bits() - 1, -1, -1) & 1
+    return np.column_stack((bits.astype(np.int64), np.full(len(rows), commit_bit)))
 
 
 def payload_length(cb: Codebook, mode: str = MODE_RAW) -> int:
@@ -167,36 +162,31 @@ def payload_length(cb: Codebook, mode: str = MODE_RAW) -> int:
     return cb.rank_bits() + 1
 
 
-def decode_payload(cb: Codebook, payload: Bits, mode: str = MODE_RAW) -> tuple[Bits, int | None]:
-    """Inverse of :func:`payload_bits`.
+def decode_payload(cb: Codebook, payloads: np.ndarray, mode: str = MODE_RAW) -> np.ndarray:
+    """Codewords of ``(n, L)`` payloads, the inverse of :func:`payload_bits`.
 
-    Returns ``(codeword, basis_bit)``; raw payloads carry no basis bit so
-    the second element is None.
+    In compressed mode the basis bit is each payload's last column.
     """
-    if mode not in PAYLOAD_MODES:
-        raise ValueError(f"unknown payload mode {mode!r}")
-    if len(payload) != payload_length(cb, mode):
+    payloads = np.asarray(payloads)
+    if payloads.shape[1] != payload_length(cb, mode):
         raise ValueError("payload has the wrong length")
     if mode == MODE_RAW:
-        return tuple(payload), None
+        return payloads
     width = cb.rank_bits()
-    r = 0
-    for bit in payload[:width]:
-        r = (r << 1) | bit
-    if r >= cb.x:
-        raise ValueError(f"decoded rank {r} outside codebook (x={cb.x})")
-    return unrank(cb.n_half, r), payload[width]
+    ranks = (payloads[:, :width].astype(object) << np.arange(width - 1, -1, -1)).sum(axis=1)
+    if len(ranks) and ranks.max() >= cb.x:
+        raise ValueError(f"decoded rank {ranks.max()} outside codebook (x={cb.x})")
+    codewords = [unrank(cb.n_half, r) for r in ranks.tolist()]
+    return np.array(codewords, np.int64).reshape(-1, cb.length)
 
 
-def pack_bits(bits: Bits) -> bytes:
-    """Serialize a bit sequence: 4-byte little-endian length in bits, then
-    packed bytes with bit i stored at byte i//8, LSB-first within a byte."""
-    out = bytearray(struct.pack("<I", len(bits)))
-    out.extend(b"\x00" * ((len(bits) + 7) // 8))
-    for i, bit in enumerate(bits):
-        if bit:
-            out[4 + i // 8] |= 1 << (i % 8)
-    return bytes(out)
+def pack_bits(rows: np.ndarray) -> list[bytes]:
+    """Serialize each row of an ``(n, L)`` bit array: 4-byte little-endian
+    length in bits, then packed bytes with bit i stored at byte i//8,
+    LSB-first within a byte."""
+    rows = np.asarray(rows)
+    prefix = struct.pack("<I", rows.shape[1])
+    return [prefix + row.tobytes() for row in np.packbits(rows, axis=1, bitorder="little")]
 
 
 def unpack_bits(data: bytes) -> Bits:

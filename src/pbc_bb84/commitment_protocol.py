@@ -31,11 +31,9 @@ from .bb84_frames import (
     transmit_and_measure,
 )
 from .codebook import (
-    Bits,
     Codebook,
     MODE_RAW,
     PAYLOAD_MODES,
-    codeword_mask,
     decode_payload,
     is_codeword,
     pack_bits,
@@ -136,37 +134,20 @@ def otp_decrypt(
 
 
 def try_commit(
-    row: np.ndarray,
-    bit: int,
-    cb: Codebook,
-    buffer_p0: KeyBuffer,
-    buffer_p1: KeyBuffer,
-    mode: str = MODE_RAW,
-) -> tuple[Bits, int, int] | None:
-    """Attempt to commit ``bit`` in a commitment-candidate frame, a
-    ``(4N,)`` row of records.
+    length: int, buffer_p0: KeyBuffer, buffer_p1: KeyBuffer
+) -> tuple[int, int]:
+    """Spend ``length`` bits of pad on each channel for one commitment;
+    returns the offsets of its pad on P0 and on P1.
 
-    The 2N outcomes measured in basis ``bit`` (rectilinear for 0, diagonal
-    for 1) must form a codeword; otherwise None is returned and the frame
-    falls back to Normal handling.  Key is checked on both channels before
-    either buffer is touched, so a failed attempt never half-consumes pad.
-    Returns the payload and the offsets of its pad on P0 and on P1.
+    Key is checked on both channels before either buffer is touched, so a
+    failed attempt never half-consumes pad.
     """
-    alice = row["alice_basis"]
-    if 2 * np.count_nonzero(alice == 0) != len(row):
-        raise ValueError("frame is not a commitment candidate")
-    if bit not in (0, 1):
-        raise ValueError("commit bit must be 0 or 1")
-    substring = tuple(row["outcome"][alice == bit].tolist())
-    if not is_codeword(cb, substring):
-        return None
-    payload = payload_bits(cb, substring, bit, mode)
-    if buffer_p0.available < len(payload) or buffer_p1.available < len(payload):
+    if buffer_p0.available < length or buffer_p1.available < length:
         raise InsufficientKeyError(
-            f"commit needs {len(payload)} bits on each channel "
+            f"commit needs {length} bits on each channel "
             f"(available: {buffer_p0.available}/{buffer_p1.available})"
         )
-    return payload, buffer_p0.consume(len(payload)), buffer_p1.consume(len(payload))
+    return buffer_p0.consume(length), buffer_p1.consume(length)
 
 
 def compute_verification_counts(
@@ -350,6 +331,12 @@ def frame_batches(
         first_id += len(frames)
 
 
+def _commit_substrings(rows: np.ndarray, bit: int) -> np.ndarray:
+    """The ``(n, 2N)`` outcomes that candidate rows measured in basis
+    ``bit``, in record order: basis code b is the basis that commits bit b."""
+    return rows["outcome"][rows["alice_basis"] == bit].reshape(-1, rows.shape[-1] // 2)
+
+
 def commit_masks(
     frames: np.ndarray, sifted: np.ndarray, config: SessionConfig, cb: Codebook
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,13 +348,11 @@ def commit_masks(
     notification, so Alice skips frames whose counts cannot pass.
     """
     alice = frames["alice_basis"]
-    # looked up on the module, where the benchmark's tracer wraps it
+    # classify_frame and is_codeword: looked up where the benchmark wraps them
     candidate = bb84_frames.classify_frame(frames, config.n_quarter)
-    # basis code b is the basis that commits bit b
-    in_commit_basis = candidate[:, None] & (alice == config.commit_bit)
-    substrings = frames["outcome"][in_commit_basis].reshape(-1, 2 * config.n_quarter)
     eligible = candidate.copy()
-    eligible[candidate] = codeword_mask(cb, substrings)
+    substrings = _commit_substrings(frames[candidate], config.commit_bit)
+    eligible[candidate] = is_codeword(cb, substrings)
     n_rect = np.count_nonzero(sifted & (alice == 0), axis=1)
     n_diag = np.count_nonzero(sifted & (alice == 1), axis=1)
     countable = (n_rect >= config.n_tol) & (n_diag >= config.n_tol)
@@ -414,16 +399,19 @@ def run_session(config: SessionConfig) -> SessionTranscript:
 
     Each batch of frames is classified, sifted and distilled at once; only
     eligible frames are visited one by one, since whether one commits
-    depends on the key distilled before it.  Bob verifies every committed
-    frame whose relays agree in one call.
+    depends on the key distilled before it, and each commit only spends
+    pad.  The payloads are built, encrypted and decoded once over the
+    session's committed rows, and Bob verifies every committed frame whose
+    relays agree in one call.
     """
     cb = Codebook(config.n_quarter, config.x)
     rate = max(0.0, math_core.final_key_rate(config.q_tol))
     buffers = {CHANNEL_P0: KeyBuffer(), CHANNEL_P1: KeyBuffer()}
     toggle = 0
 
+    length = payload_length(cb, config.payload_mode)
     transcript = SessionTranscript(config=config.to_dict())
-    records = []  # (frame_id, payload, P0 key offset, P1 key offset)
+    records = []  # (frame_id, P0 key offset, P1 key offset)
     committed = []  # each batch's rows of committing frames
 
     for frames in frame_batches(config, config.frame_budget):
@@ -445,14 +433,11 @@ def run_session(config: SessionConfig) -> SessionTranscript:
             toggle = _deal_key(key[key_start[start] : key_start[i]], buffers, toggle)
             start = i
             try:
-                commit = try_commit(
-                    frames[i], config.commit_bit, cb,
-                    buffers[CHANNEL_P0], buffers[CHANNEL_P1], config.payload_mode,
-                )
+                offsets = try_commit(length, buffers[CHANNEL_P0], buffers[CHANNEL_P1])
             except InsufficientKeyError:
                 transcript.insufficient_key_aborts += 1
                 continue
-            records.append((first_id + i, *commit))
+            records.append((first_id + i, *offsets))
             # a committing frame distills nothing
             commits[i] = True
             start = i + 1
@@ -465,7 +450,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
 
     # Unveiling: waiting-time schedule, relay cross-check, Bob's verdict.
     if records:
-        frame_ids, payloads, *offsets = zip(*records)
+        frame_ids, *offsets = zip(*records)
         waits = {CHANNEL_P0: config.wait_p0, CHANNEL_P1: config.wait_p1}
         transcript.schedule = {
             "waits": waits,
@@ -475,8 +460,9 @@ def run_session(config: SessionConfig) -> SessionTranscript:
             "epoch": frame_ids[-1] + max(waits.values()),
         }
 
-        payloads = np.array(payloads)
-        length = payloads.shape[1]
+        rows = np.concatenate(committed)
+        substrings = _commit_substrings(rows, config.commit_bit)
+        payloads = payload_bits(cb, substrings, config.commit_bit, config.payload_mode)
         pads = list(zip(buffers.values(), offsets))
         # Alice's ciphertexts, one per relay; a tamper flips a bit of the
         # first commitment's P1 copy
@@ -486,18 +472,15 @@ def run_session(config: SessionConfig) -> SessionTranscript:
         dec0, dec1 = (otp_decrypt(ct, *pad) for ct, pad in zip(cts, pads))
         # Bob's cross-check of the two relays' decrypted payloads
         consistent = (dec0 == dec1).all(axis=1)
-        substrings = [
-            decode_payload(cb, payload, config.payload_mode)[0]
-            for payload in dec0[consistent].tolist()
-        ]
-        rows = np.concatenate(committed)[consistent]
+        rows = rows[consistent]
         verdicts, counts = bob_verify(
-            rows, rows["alice_basis"], np.array(substrings).reshape(-1, cb.length),
+            rows, rows["alice_basis"],
+            decode_payload(cb, dec0[consistent], config.payload_mode),
             config.n_tol, config.e_tol, config.commit_bit,
         )
 
         verified = zip(verdicts, counts.tolist())
-        hexes = [[pack_bits(c).hex() for c in ct.tolist()] for ct in cts]
+        hexes = [[packed.hex() for packed in pack_bits(ct)] for ct in cts]
         for k, ok in enumerate(consistent.tolist()):
             verdict, row = next(verified) if ok else (Verdict.REJECT, None)
             transcript.commitments.append({
@@ -540,6 +523,9 @@ def simulate_cheating_alice(config: SessionConfig, trials: int) -> tuple[float, 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # a candidate frame has 2N positions in each basis
+    if config.x == 0 or config.n_tol > 2 * config.n_quarter:
+        raise ValueError("no frame can commit: needs x >= 1 and n_tol <= 2N")
     cb = Codebook(config.n_quarter, config.x)
     succ = [0, 0]
     done = 0
@@ -549,7 +535,7 @@ def simulate_cheating_alice(config: SessionConfig, trials: int) -> tuple[float, 
         )
         rows = frames[eligible & countable][: trials - done]
         honest = rows["alice_basis"]
-        substrings = rows["outcome"][honest == config.commit_bit].reshape(-1, cb.length)
+        substrings = _commit_substrings(rows, config.commit_bit)
         for target in (0, 1):
             disclosure = honest if target == config.commit_bit else 1 - honest
             verdicts, _ = bob_verify(

@@ -28,8 +28,9 @@ import math
 
 import numpy as np
 
+from codebook_reference import is_codeword
 from pbc_bb84 import math_core as mc
-from pbc_bb84.codebook import Codebook, is_codeword
+from pbc_bb84.codebook import Codebook
 from pbc_bb84.commitment_protocol import Verdict, bob_verify
 
 

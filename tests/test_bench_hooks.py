@@ -61,7 +61,11 @@ def test_spans_recorded_and_attributes_restored(tmp_path):
         "commitment_protocol.bob_verify",
         "commitment_protocol.compute_verification_counts",
         "codebook.is_codeword",
+        "codebook.payload_bits",
+        "codebook.decode_payload",
+        "codebook.pack_bits",
         "commitment_protocol.KeyBuffer.extend",
+        "commitment_protocol.KeyBuffer.consume",
         "commitment_protocol.otp_decrypt",
         "relay_routing.flood_discover",
         "relay_routing.vc_select",

@@ -50,6 +50,76 @@ def network_file(tmp_path):
     return path
 
 
+#: One field's value: in and out of range, integral and fractional floats,
+#: NaN, infinities, bools, huge numbers, null and strings.  Other floats stay
+#: within 1e4, where the runtime's exact C(2N, N) is cheap.
+CONFIG_VALUES = st.one_of(
+    st.integers(-100, 100),
+    st.integers(-100, 100).map(float),
+    st.floats(-1e4, 1e4),
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, -0.0, 1e-9, 2**30, 2**64, 1e300, -1e300,
+    ]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "1", "raw", "compressed"]),
+)
+
+#: Values of the wrong type or outside every field's range.
+WRONG_VALUES = st.sampled_from([
+    math.nan, math.inf, -math.inf, 1.5, -1, 2**64, 10**400, "10", "", True, None, [1],
+])
+TRANSCRIPT_SCHEMA = load_schema("transcript.schema.json")
+REPORT_SCHEMA = load_schema("reservation_report.schema.json")
+
+
+@st.composite
+def session_docs(draw):
+    """Valid session configs short enough for a per-case time limit (N <= 3,
+    at most 200 frames, detection >= 0.05), with up to two fields replaced
+    by values of any kind, frame budgets and detection included."""
+    n = draw(st.integers(1, 3))
+    doc = {
+        "n_quarter": n, "x": draw(st.integers(0, math.comb(2 * n, n))),
+        "commit_bit": draw(st.integers(0, 1)), "frame_budget": draw(st.integers(1, 200)),
+        "seed": draw(st.integers(0, 2**64)), "detection_prob": draw(st.floats(0.05, 1.0)),
+        "flip_prob": draw(st.floats(0.0, 0.2)), "q_tol": draw(st.floats(0.0, 0.2)),
+        "n_tol": draw(st.integers(1, 2 * n + 1)), "e_tol": draw(st.floats(0.0, 0.49)),
+        "payload_mode": draw(st.sampled_from(["raw", "compressed"])),
+        "commit_all": draw(st.booleans()),
+        "tamper_p1_bit": draw(st.one_of(st.none(), st.integers(0, 1))),
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        if name in ("frame_budget", "detection_prob"):
+            doc[name] = draw(st.one_of(WRONG_VALUES, st.integers(-2, 0)))
+        else:
+            doc[name] = draw(st.one_of(CONFIG_VALUES, WRONG_VALUES))
+    return doc
+
+
+@st.composite
+def network_docs(draw):
+    """Valid networks of at most five nodes, with up to two fields replaced
+    by values of any kind."""
+    names = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    doc = {
+        "nodes": names,
+        "edges": [{"a": a, "b": b, "buffer_bits": draw(st.integers(0, 100))} for a, b in edges],
+        "traffic": {
+            "src": draw(st.sampled_from(names)), "dst": draw(st.sampled_from(names)),
+            "n_packets": draw(st.integers(1, 50)), "packet_len": draw(st.integers(1, 50)),
+        },
+    }
+    slots = [(doc, "nodes"), (doc, "edges")] + [(doc["traffic"], k) for k in doc["traffic"]]
+    slots += [(edge, k) for edge in doc["edges"] for k in edge]
+    for i in draw(st.lists(st.integers(0, len(slots) - 1), max_size=2, unique=True)):
+        owner, key = slots[i]
+        owner[key] = draw(st.one_of(CONFIG_VALUES, WRONG_VALUES, st.sampled_from(names)))
+    return doc
+
+
 class TestRates:
     def test_csv_shape_and_boundary(self, tmp_path):
         out = tmp_path / "rates.csv"
@@ -357,6 +427,35 @@ class TestSimulate:
         doc = {"seed": 1, "frame_budget": 200}
         jsonschema.validate(doc, load_schema("session_config.schema.json"))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        doc=session_docs(),
+        seed=st.one_of(
+            st.none(), st.integers(-3, 2**70).map(str),
+            st.sampled_from(["", "x", "1.0", "1e3", "0x10"]),
+        ),
+    )
+    def test_fuzz_exit_codes(self, doc, seed):
+        # every accepted config ends in a schema-valid transcript, or in
+        # exit 64 with one line; an exception would fail the test here
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "session.json"), os.path.join(tmp, "t.json")
+            with open(cfg, "w") as fh:
+                json.dump(doc, fh)
+            argv = ["simulate", "--config", cfg, "-o", out]
+            err = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(err):
+                code = run_cli(argv if seed is None else [*argv, f"--seed={seed}"])
+            assert time.perf_counter() - start < 2.0
+            assert code in (0, 2, 3, 64)
+            if code == 64:
+                assert err.getvalue().count("\n") == 1
+                assert not os.path.exists(out)
+            else:
+                with open(out) as fh:
+                    jsonschema.validate(json.load(fh), TRANSCRIPT_SCHEMA)
+
 
 class TestRoute:
     def test_datagram_matches_hand_computed(self, network_file, tmp_path):
@@ -464,11 +563,44 @@ class TestRoute:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf", "nan\n"])
     def test_alpha_outside_range(self, network_file, capsys, alpha):
         argv = ["route", "--network", str(network_file), "--mode", "vc", "--alpha", alpha]
         assert run_cli(argv) == 64
         assert capsys.readouterr().err.count("\n") == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        doc=network_docs(),
+        # a valid mode in 4 cases of 5, so that most documents are routed
+        mode=st.sampled_from(["datagram", "vc", "datagram", "vc", None]).flatmap(
+            lambda mode: st.text(max_size=4) if mode is None else st.just(mode)),
+        alpha=st.one_of(
+            st.none(), st.floats(0.0, 10.0).map(repr), st.floats().map(repr),
+            st.text(max_size=4),
+            st.sampled_from(["1e400", "-0", "0x1", " 2 ", "nan\n"]),
+        ),
+    )
+    def test_fuzz_exit_codes(self, doc, mode, alpha):
+        # every accepted document and argument list ends in a schema-valid
+        # report, or in exit 64 with one line; an exception would fail here
+        with tempfile.TemporaryDirectory() as tmp:
+            net, out = os.path.join(tmp, "net.json"), os.path.join(tmp, "r.json")
+            with open(net, "w") as fh:
+                json.dump(doc, fh)
+            argv = ["route", "--network", net, f"--mode={mode}", "-o", out]
+            err = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stderr(err):
+                code = run_cli(argv if alpha is None else [*argv, f"--alpha={alpha}"])
+            assert time.perf_counter() - start < 2.0
+            assert code in (0, 64)
+            if code == 64:
+                assert err.getvalue().count("\n") == 1
+                assert not os.path.exists(out)
+            else:
+                with open(out) as fh:
+                    jsonschema.validate(json.load(fh), REPORT_SCHEMA)
 
     def test_too_many_paths(self, tmp_path, capsys):
         # K11: about 986,000 simple paths between two nodes
@@ -512,22 +644,6 @@ class TestUsage:
             capture_output=True, text=True, check=True,
         ).stdout.split()
         assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
-
-
-#: One field's value: in and out of range, integral and fractional floats,
-#: NaN, infinities, bools, huge numbers, null and strings.  Other floats stay
-#: within 1e4, where the runtime's exact C(2N, N) is cheap.
-CONFIG_VALUES = st.one_of(
-    st.integers(-100, 100),
-    st.integers(-100, 100).map(float),
-    st.floats(-1e4, 1e4),
-    st.sampled_from([
-        math.nan, math.inf, -math.inf, -0.0, 1e-9, 2**30, 2**64, 1e300, -1e300,
-    ]),
-    st.booleans(),
-    st.none(),
-    st.sampled_from(["", "1", "raw", "compressed"]),
-)
 
 
 def violates_cross_field_rule(name, value):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import codebook_reference as ref
 from pbc_bb84 import codebook as cbk
 
 
@@ -80,53 +81,45 @@ class TestRankUnrank:
 class TestMembership:
     def test_examples(self):
         full = cbk.Codebook(2, 6)
-        assert cbk.is_codeword(full, (0, 1, 1, 0))
-        assert not cbk.is_codeword(cbk.Codebook(2, 2), (0, 1, 1, 0))
-        assert not cbk.is_codeword(full, (0, 1, 1, 1))
+        assert cbk.is_codeword(full, [[0, 1, 1, 0], [0, 1, 1, 1]]).tolist() == [True, False]
+        assert cbk.is_codeword(cbk.Codebook(2, 2), [[0, 1, 1, 0]]).tolist() == [False]
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            cbk.is_codeword(cbk.Codebook(2, 6), (0, 1, 1))
+            cbk.is_codeword(cbk.Codebook(2, 6), [[0, 1, 1]])
 
     @pytest.mark.parametrize("n_half", range(1, 7))
     def test_membership_count(self, n_half):
+        rows = np.array(balanced_sequences(n_half))
         cap = cbk.codebook_capacity(n_half)
         for x in {0, 1, cap // 3, cap // 2, cap}:
-            cb = cbk.Codebook(n_half, x)
-            members = sum(
-                1 for s in balanced_sequences(n_half) if cbk.is_codeword(cb, s)
-            )
-            assert members == x
+            mask = cbk.is_codeword(cbk.Codebook(n_half, x), rows)
+            # the codewords are the first x balanced sequences
+            assert mask.tolist() == [True] * x + [False] * (cap - x)
 
     @pytest.mark.parametrize("n_half", range(1, 7))
     def test_codeword_fraction_of_all_strings(self, n_half):
-        length = 2 * n_half
-        cap = cbk.codebook_capacity(n_half)
-        x = max(1, cap // 2)
-        cb = cbk.Codebook(n_half, x)
-        members = 0
-        for value in range(2**length):
-            seq = tuple((value >> (length - 1 - i)) & 1 for i in range(length))
-            if cbk.is_codeword(cb, seq):
-                members += 1
-        assert members / 2**length == x / 2**length
+        rows = np.array(list(product((0, 1), repeat=2 * n_half)))
+        x = max(1, cbk.codebook_capacity(n_half) // 2)
+        assert np.count_nonzero(cbk.is_codeword(cbk.Codebook(n_half, x), rows)) == x
 
     @pytest.mark.parametrize("n_half", range(1, 5))
     def test_mask_matches_is_codeword(self, n_half):
+        # every 2N-bit sequence, against the rank-based scalar rule
         rows = np.array(list(product((0, 1), repeat=2 * n_half)))
         for x in range(cbk.codebook_capacity(n_half) + 1):
             cb = cbk.Codebook(n_half, x)
-            expected = [cbk.is_codeword(cb, tuple(row)) for row in rows.tolist()]
-            assert cbk.codeword_mask(cb, rows).tolist() == expected
+            expected = [ref.is_codeword(cb, row) for row in rows.tolist()]
+            assert cbk.is_codeword(cb, rows).tolist() == expected
 
     def test_mask_big_codebook(self):
         cap = cbk.codebook_capacity(40)
         rows = np.array([cbk.unrank(40, i) for i in (0, 10**20, cap - 2, cap - 1)])
-        assert cbk.codeword_mask(cbk.Codebook(40, cap - 1), rows).tolist() == [
+        assert cbk.is_codeword(cbk.Codebook(40, cap - 1), rows).tolist() == [
             True, True, True, False,
         ]
         with pytest.raises(ValueError):
-            cbk.codeword_mask(cbk.Codebook(40, cap), rows[:, 1:])
+            cbk.is_codeword(cbk.Codebook(40, cap), rows[:, 1:])
 
     def test_capacity_guard(self):
         with pytest.raises(ValueError):
@@ -135,46 +128,71 @@ class TestMembership:
     def test_big_codebook(self):
         cap = cbk.codebook_capacity(100)
         cb = cbk.Codebook(100, cap)  # exact big-int x
-        seq = cbk.unrank(100, cap - 1)
-        assert cbk.is_codeword(cb, seq)
+        assert cbk.is_codeword(cb, [cbk.unrank(100, cap - 1)]).tolist() == [True]
 
 
 class TestPayload:
     def test_raw_is_identity(self):
         cb = cbk.Codebook(2, 6)
-        seq = (0, 1, 1, 0)
-        assert cbk.payload_bits(cb, seq, 0, cbk.MODE_RAW) == seq
+        rows = [[0, 1, 1, 0], [1, 0, 0, 1]]
+        assert cbk.payload_bits(cb, rows, 0, cbk.MODE_RAW).tolist() == rows
+        assert cbk.decode_payload(cb, rows, cbk.MODE_RAW).tolist() == rows
         assert cbk.payload_length(cb, cbk.MODE_RAW) == 4
 
     def test_compressed_round_trip(self):
         cb = cbk.Codebook(3, 14)
         assert cbk.payload_length(cb, cbk.MODE_COMPRESSED) == 5  # 4 rank bits + basis
-        for index in range(cb.x):
-            seq = cbk.unrank(3, index)
-            for bit in (0, 1):
-                payload = cbk.payload_bits(cb, seq, bit, cbk.MODE_COMPRESSED)
-                decoded, basis_bit = cbk.decode_payload(cb, payload, cbk.MODE_COMPRESSED)
-                assert decoded == seq
-                assert basis_bit == bit
+        rows = np.array([cbk.unrank(3, index) for index in range(cb.x)])
+        for bit in (0, 1):
+            payloads = cbk.payload_bits(cb, rows, bit, cbk.MODE_COMPRESSED)
+            assert payloads.tolist() == [
+                [(index >> shift) & 1 for shift in (3, 2, 1, 0)] + [bit]
+                for index in range(cb.x)
+            ]
+            decoded = cbk.decode_payload(cb, payloads, cbk.MODE_COMPRESSED)
+            assert decoded.tolist() == rows.tolist()
 
-    def test_non_codeword_rejected(self):
-        cb = cbk.Codebook(2, 2)
-        with pytest.raises(ValueError):
-            cbk.payload_bits(cb, (1, 1, 0, 0), 0)
+    def test_big_rank_round_trip(self):
+        cap = cbk.codebook_capacity(40)
+        cb = cbk.Codebook(40, cap - 1)  # 77 rank bits, beyond int64
+        rows = np.array([cbk.unrank(40, i) for i in (0, 10**20, cap - 2)])
+        payloads = cbk.payload_bits(cb, rows, 1, cbk.MODE_COMPRESSED)
+        assert payloads.shape == (3, 78)
+        assert int("".join(map(str, payloads[2, :-1])), 2) == cap - 2
+        assert cbk.decode_payload(cb, payloads, cbk.MODE_COMPRESSED).tolist() == rows.tolist()
+
+    def test_empty_batch(self):
+        cb = cbk.Codebook(2, 6)
+        for mode in cbk.PAYLOAD_MODES:
+            payloads = cbk.payload_bits(cb, np.zeros((0, 4), np.int64), 1, mode)
+            assert payloads.shape == (0, cbk.payload_length(cb, mode))
+            assert cbk.decode_payload(cb, payloads, mode).shape == (0, 4)
+
+    def test_decode_rejects_rank_outside_codebook(self):
+        cb = cbk.Codebook(2, 5)  # rank 5 is the first outside
+        assert cbk.decode_payload(cb, [[1, 0, 0, 0]], cbk.MODE_COMPRESSED).tolist() == [
+            [1, 0, 1, 0],
+        ]
+        for payload in ([[1, 0, 1, 0]], [[0, 1, 0]]):
+            with pytest.raises(ValueError):
+                cbk.decode_payload(cb, payload, cbk.MODE_COMPRESSED)
 
 
 class TestSerialization:
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=64))
     def test_round_trip(self, bits):
         seq = tuple(bits)
-        assert cbk.unpack_bits(cbk.pack_bits(seq)) == seq
+        rows = np.array([seq, seq[::-1]], np.int64).reshape(2, len(seq))
+        packed = cbk.pack_bits(rows)
+        assert [cbk.unpack_bits(data) for data in packed] == [seq, seq[::-1]]
 
     def test_layout(self):
         # 4-byte little-endian bit count, then LSB-first packed bits
-        data = cbk.pack_bits((1, 0, 0, 0, 0, 0, 0, 0, 1))
-        assert data == b"\x09\x00\x00\x00\x01\x01"
+        data = cbk.pack_bits([[1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, 0, 0]])
+        assert data == [b"\x09\x00\x00\x00\x01\x01", b"\x09\x00\x00\x00\x02\x00"]
+        assert cbk.pack_bits(np.zeros((0, 3), np.int64)) == []
 
     def test_truncation_detected(self):
-        data = cbk.pack_bits((1, 0, 1))
+        [data] = cbk.pack_bits([[1, 0, 1]])
         with pytest.raises(ValueError):
             cbk.unpack_bits(data[:-1])

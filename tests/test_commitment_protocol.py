@@ -1,12 +1,14 @@
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
 
+import codebook_reference
 import frame_reference as ref
 from pbc_bb84.bb84_frames import RECORD, FrameClass, sift_records
-from pbc_bb84.codebook import Codebook, MODE_COMPRESSED, is_codeword
+from pbc_bb84.codebook import Codebook, MODE_COMPRESSED
 from pbc_bb84 import commitment_protocol as proto
 from pbc_bb84.commitment_protocol import (
     InsufficientKeyError,
@@ -89,43 +91,47 @@ class TestKeyBuffer:
 
 
 class TestTryCommit:
-    def _buffers(self):
-        return make_buffer([0] * 16), make_buffer([1] * 16)
-
     def test_commit_produced(self):
-        frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
-        # rect outcomes in record order: 0,1,1,0 -> balanced
-        cb = Codebook(2, 6)
-        b0, b1 = self._buffers()
-        assert try_commit(frame, 0, cb, b0, b1) == ((0, 1, 1, 0), 0, 0)
-        payload, off0, off1 = try_commit(frame, 0, cb, b0, b1)
-        assert (off0, off1) == (4, 4)
+        b0, b1 = make_buffer([0] * 16), make_buffer([1] * 16)
+        assert try_commit(4, b0, b1) == (0, 0)
+        assert try_commit(4, b0, b1) == (4, 4)
         assert b0.consumed == b1.consumed == 8
-        for buf, off in ((b0, off0), (b1, off1)):
-            ciphertext = np.array([payload]) ^ buf.peek([off], 4)
-            assert otp_decrypt(ciphertext, buf, [off]).tolist() == [[0, 1, 1, 0]]
 
-    def test_unbalanced_substring_falls_back(self):
+    def test_insufficient_key_leaves_both_buffers(self):
+        b0, b1 = make_buffer([0] * 16), make_buffer([1] * 2)
+        with pytest.raises(InsufficientKeyError):
+            try_commit(4, b0, b1)
+        assert b0.consumed == 0 and b1.consumed == 0
+
+
+class TestCommitMaskFrames:
+    """The codeword decision on hand-made frames: rectilinear outcomes of a
+    candidate frame in record order, at N = 2."""
+
+    def masks(self, frame, x):
+        config = SessionConfig(n_quarter=2, x=x)
+        frames = frame[None]
+        masks = proto.commit_masks(frames, sift_records(frames), config, Codebook(2, x))
+        return [bool(mask[0]) for mask in masks]
+
+    def test_codeword_is_eligible(self):
+        # rect outcomes 0,1,1,0: balanced, rank 2
+        frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
+        assert self.masks(frame, 6) == [True, True, True]
+
+    def test_unbalanced_substring_not_eligible(self):
         frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 1, 0, 1])
-        cb = Codebook(2, 6)
-        assert try_commit(frame, 0, cb, *self._buffers()) is None
+        assert self.masks(frame, 6) == [True, False, True]
 
     def test_rank_cutoff(self):
         frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
-        cb = Codebook(2, 2)  # rank(0110)=2 >= x
-        assert try_commit(frame, 0, cb, *self._buffers()) is None
+        assert self.masks(frame, 2) == [True, False, True]  # rank(0110)=2 >= x
+        assert self.masks(frame, 3) == [True, True, True]
 
-    def test_normal_frame_rejected(self):
+    def test_normal_frame_not_a_candidate(self):
         frame = make_frame([R, R, R, R, D, R, D, D], [0] * 8)
-        with pytest.raises(ValueError):
-            try_commit(frame, 0, Codebook(2, 6), *self._buffers())
-
-    def test_insufficient_key_leaves_both_buffers(self):
-        frame = make_frame([R, R, D, R, D, R, D, D], [0, 1, 0, 1, 1, 0, 0, 1])
-        b0, b1 = make_buffer([0] * 16), make_buffer([1] * 2)
-        with pytest.raises(InsufficientKeyError):
-            try_commit(frame, 0, Codebook(2, 6), b0, b1)
-        assert b0.consumed == 0 and b1.consumed == 0
+        candidate, eligible, _ = self.masks(frame, 6)
+        assert not candidate and not eligible
 
 
 class TestRelayConsistency:
@@ -268,7 +274,8 @@ class TestCommitMasks:
             is_candidate = frame.classification is FrameClass.COMMITMENT_CANDIDATE
             assert candidate[i] == is_candidate
             assert eligible[i] == (
-                is_candidate and is_codeword(cb, frame.outcomes_in_basis(basis))
+                is_candidate
+                and codebook_reference.is_codeword(cb, frame.outcomes_in_basis(basis))
             )
             assert countable[i] == ref.threshold_ok(frame, n_tol)
 
@@ -356,6 +363,14 @@ class TestCheatingAlice:
     def test_trials_guard(self):
         with pytest.raises(ValueError):
             simulate_cheating_alice(SessionConfig(seed=0), 0)
+
+    @pytest.mark.parametrize("overrides", [{"x": 0}, {"n_tol": 5}])
+    def test_no_committable_frame_refused(self, overrides):
+        # no frame can commit, so the trials would never be filled
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="no frame can commit"):
+            simulate_cheating_alice(SessionConfig(**overrides), 10)
+        assert time.perf_counter() - start < 1.0
 
     def test_honest_side_near_one(self):
         p0, p1 = simulate_cheating_alice(SessionConfig(seed=3), 500)

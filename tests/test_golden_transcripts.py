@@ -52,8 +52,8 @@ GOLDEN = {
          "payload_mode": "compressed"}, 0,
         "6d3556cddc1d6e6e9d23f52f03a80bbe964abc39fa927349745a037a8defead1",
     ),
-    # rank width 5, the basis bit of bit 1, and a tamper on a compressed
-    # payload
+    # rank width 5, the basis bit of bit 1 and a tamper on a compressed
+    # payload; computed before the codebook steps took arrays
     "compressed_n_quarter_3": (
         {"seed": 15, "n_quarter": 3, "x": 20, "frame_budget": 800,
          "commit_all": True, "payload_mode": "compressed", "commit_bit": 1,
