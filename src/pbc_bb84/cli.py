@@ -7,13 +7,14 @@ function of (arguments, seed); CSV column order is fixed and JSON is
 emitted with sorted keys so reruns are byte-identical.
 
 Exit codes: 0 success / Accept, 2 Reject, 3 NoCommitFrame, 64 usage
-error.  ``PBC_BB84_OUTPUT_DIR`` overrides the directory for relative
-output paths.
+error, an unwritable output included.  ``PBC_BB84_OUTPUT_DIR``
+overrides the directory for relative output paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -36,20 +37,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_output(path: str | None):
+def _output(path: str | None):
+    """The output stream as a context manager: stdout, left open, for no
+    path or ``-``; else the file, a relative path under
+    ``PBC_BB84_OUTPUT_DIR`` when that is set."""
     if path is None or path == "-":
-        return None
+        return contextlib.nullcontext(sys.stdout)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def _open_output(path: str | None):
-    resolved = _resolve_output(path)
-    if resolved is None:
-        return sys.stdout, False
-    return open(resolved, "w", newline=""), True
+        path = os.path.join(base, path)
+    return open(path, "w", newline="")
 
 
 #: Largest accepted ``q_steps * p_steps``.  The sweep writes about 230,000
@@ -86,8 +83,7 @@ def cmd_rates(args) -> int:
         print(f"rates: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         writer = csv.writer(stream)
         writer.writerow(["q_tol", "p", "r", "r_prime"])
         for q in q_grid:
@@ -95,9 +91,6 @@ def cmd_rates(args) -> int:
             for p in p_grid:
                 r_prime = math_core.redundant_key_rate(q, p, args.n_quarter)
                 writer.writerow([f"{q:.10g}", f"{p:.10g}", f"{r:.12g}", f"{r_prime:.12g}"])
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -125,14 +118,10 @@ def cmd_binding(args) -> int:
         print(f"binding: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         writer = csv.writer(stream)
         writer.writerow(["p", "n_tol", "e_tol", "variant", "eps_b"])
         writer.writerows(rows)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -140,8 +129,9 @@ def cmd_simulate(args) -> int:
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
-    # json.load raises RecursionError on arrays or objects nested too deep
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+    # json.load raises RecursionError on arrays or objects nested too deep,
+    # and ValueError on an integer past Python's int-string digit limit
+    except (OSError, RecursionError, ValueError) as exc:
         print(f"simulate: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not isinstance(doc, dict):
@@ -156,16 +146,12 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
 
     transcript = run_session(config)
-    stream, close = _open_output(args.output)
-    try:
-        json.dump(transcript.to_json_dict(), stream, indent=2, sort_keys=True)
+    with _output(args.output) as stream:
+        json.dump(transcript, stream, indent=2, sort_keys=True)
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()
-    if transcript.status == "accept":
+    if transcript["status"] == "accept":
         return EXIT_OK
-    if transcript.status == "reject":
+    if transcript["status"] == "reject":
         return EXIT_REJECT
     return EXIT_NO_COMMIT
 
@@ -241,29 +227,27 @@ def cmd_route(args) -> int:
     else:
         report["status"] = "ok"
         if args.mode == "datagram":
-            chosen = relay_routing.datagram_select(candidates)
+            chosen, score = relay_routing.datagram_select(candidates)
             report["reservation"] = None
         else:
-            chosen = relay_routing.vc_select(candidates, args.alpha)
+            chosen, score = relay_routing.vc_select(candidates, args.alpha)
             report["reservation"] = relay_routing.reserve_circuit(
-                graph, chosen, candidates, traffic
+                graph, candidates, chosen, traffic
             )
+        probs = candidates.probs(chosen)
         report["chosen"] = {
-            "path": list(chosen.nodes),
-            "edge_probs": list(chosen.edge_probs),
-            "score": _json_score(chosen.score),
-            "viable": chosen.viable,
+            "path": list(candidates.paths[chosen]),
+            "edge_probs": list(probs),
+            "score": _json_score(score),
+            # not score > 0: a datagram product can underflow to 0.0
+            "viable": all(p > 0.0 for p in probs),
         }
 
     head, tail = json.dumps(report, indent=2, sort_keys=True).split(_CANDIDATES_SLOT)
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         stream.write(head + '\n  "candidates": ')
         _write_candidates(stream, candidates, graph.nodes)
         stream.write(tail + "\n")
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -314,7 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    # each command handles the errors of reading its input, so this one
+    # came from opening or writing the output
+    except OSError as exc:
+        print(f"{args.command}: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

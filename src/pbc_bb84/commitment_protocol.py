@@ -14,9 +14,8 @@ in one call, on their rows.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from typing import Iterator
 
 import numpy as np
@@ -49,14 +48,9 @@ class InsufficientKeyError(Exception):
     """Raised when a key buffer cannot cover a requested encryption."""
 
 
-class Verdict(enum.Enum):
-    ACCEPT0 = "accept0"
-    ACCEPT1 = "accept1"
-    REJECT = "reject"
-
-
-#: Verdict code b accepts bit b; code 2 rejects.
-_VERDICTS = (Verdict.ACCEPT0, Verdict.ACCEPT1, Verdict.REJECT)
+#: Each verdict code's name in the transcript: code b accepts bit b, and
+#: code 2 rejects.
+VERDICTS = ("accept0", "accept1", "reject")
 
 #: Columns of the count array of :func:`compute_verification_counts`, and
 #: their keys in the transcript.
@@ -186,7 +180,7 @@ def bob_verify(
     n_tol: int,
     e_tol: float,
     claimed_bit: int,
-) -> tuple[list[Verdict], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Bob's acceptance decision on each row, after the relays agree.
 
     Arguments are as for :func:`compute_verification_counts`;
@@ -194,7 +188,8 @@ def bob_verify(
     n_rect >= n_tol, n_diag >= n_tol, the payload aligned on the
     rectilinear-disclosed positions, and at most e_tol * n_tol errors
     against Bob's sent bits there; Accept1 symmetrically on the diagonal
-    side.  Returns one verdict per row and the ``(n, 4)`` counts.
+    side.  Returns the ``(n,)`` verdict codes (see :data:`VERDICTS`) and the
+    ``(n, 4)`` counts.
     """
     disclosure, payloads = np.asarray(disclosure), np.asarray(payloads)
     counts = compute_verification_counts(rows, disclosure, payloads)
@@ -204,8 +199,7 @@ def bob_verify(
         & (counts[:, 2 + claimed_bit] <= e_tol * n_tol)
         & (counts[:, :2].min(axis=1) >= n_tol)
     )
-    codes = np.where(passes, claimed_bit, 2)
-    return [_VERDICTS[c] for c in codes.tolist()], counts
+    return np.where(passes, claimed_bit, 2), counts
 
 
 #: Python types that carry each annotated JSON type of
@@ -359,27 +353,6 @@ def commit_masks(
     return candidate, eligible, countable
 
 
-@dataclass
-class SessionTranscript:
-    """Everything observable about one session, JSON-exportable."""
-
-    config: dict
-    frames_total: int = 0
-    candidate_frames: int = 0
-    eligible_frames: int = 0
-    threshold_skipped: int = 0
-    insufficient_key_aborts: int = 0
-    sifted_bits: int = 0
-    commitments: list = field(default_factory=list)
-    key_ledger: dict = field(default_factory=dict)
-    schedule: dict | None = None
-    status: str = "no_commit_frame"
-    verdict: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 def _deal_key(bits: np.ndarray, buffers: dict, toggle: int) -> int:
     """Hand key bits out alternately to P0 and P1, the first to the channel
     ``toggle`` names; returns the toggle for the next bit."""
@@ -389,8 +362,11 @@ def _deal_key(bits: np.ndarray, buffers: dict, toggle: int) -> int:
     return toggle ^ (len(bits) & 1)
 
 
-def run_session(config: SessionConfig) -> SessionTranscript:
+def run_session(config: SessionConfig) -> dict:
     """Run one full session: preparation, commitment, unveiling, verdict.
+
+    Returns the transcript, everything observable about the session, as
+    the document ``transcript.schema.json`` describes.
 
     The first commit-eligible frame (candidate, codeword substring, count
     thresholds satisfiable, sufficient pad) carries the commitment; with
@@ -410,12 +386,24 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     toggle = 0
 
     length = payload_length(cb, config.payload_mode)
-    transcript = SessionTranscript(config=config.to_dict())
+    transcript = {
+        "config": config.to_dict(),
+        "frames_total": 0,
+        "candidate_frames": 0,
+        "eligible_frames": 0,
+        "threshold_skipped": 0,
+        "insufficient_key_aborts": 0,
+        "sifted_bits": 0,
+        "commitments": [],
+        "schedule": None,
+        "status": "no_commit_frame",
+        "verdict": None,
+    }
     records = []  # (frame_id, P0 key offset, P1 key offset)
     committed = []  # each batch's rows of committing frames
 
     for frames in frame_batches(config, config.frame_budget):
-        first_id = transcript.frames_total
+        first_id = transcript["frames_total"]
         sifted = sift_records(frames)
         candidate, eligible, countable = commit_masks(frames, sifted, config, cb)
         credited = distill(sifted, rate)
@@ -428,14 +416,14 @@ def run_session(config: SessionConfig) -> SessionTranscript:
             if records and not config.commit_all:
                 break
             if not countable[i]:
-                transcript.threshold_skipped += 1
+                transcript["threshold_skipped"] += 1
                 continue
             toggle = _deal_key(key[key_start[start] : key_start[i]], buffers, toggle)
             start = i
             try:
                 offsets = try_commit(length, buffers[CHANNEL_P0], buffers[CHANNEL_P1])
             except InsufficientKeyError:
-                transcript.insufficient_key_aborts += 1
+                transcript["insufficient_key_aborts"] += 1
                 continue
             records.append((first_id + i, *offsets))
             # a committing frame distills nothing
@@ -443,16 +431,16 @@ def run_session(config: SessionConfig) -> SessionTranscript:
             start = i + 1
         toggle = _deal_key(key[key_start[start] :], buffers, toggle)
         committed.append(frames[commits])
-        transcript.sifted_bits += int(np.count_nonzero(sifted[~commits]))
-        transcript.frames_total += len(frames)
-        transcript.candidate_frames += int(np.count_nonzero(candidate))
-        transcript.eligible_frames += int(np.count_nonzero(eligible))
+        transcript["sifted_bits"] += int(np.count_nonzero(sifted[~commits]))
+        transcript["frames_total"] += len(frames)
+        transcript["candidate_frames"] += int(np.count_nonzero(candidate))
+        transcript["eligible_frames"] += int(np.count_nonzero(eligible))
 
     # Unveiling: waiting-time schedule, relay cross-check, Bob's verdict.
     if records:
         frame_ids, *offsets = zip(*records)
         waits = {CHANNEL_P0: config.wait_p0, CHANNEL_P1: config.wait_p1}
-        transcript.schedule = {
+        transcript["schedule"] = {
             "waits": waits,
             # each commitment goes to both relays in its own frame
             "send_times": {f"{fid}:{ch}": fid for fid in frame_ids for ch in waits},
@@ -473,17 +461,17 @@ def run_session(config: SessionConfig) -> SessionTranscript:
         # Bob's cross-check of the two relays' decrypted payloads
         consistent = (dec0 == dec1).all(axis=1)
         rows = rows[consistent]
-        verdicts, counts = bob_verify(
+        codes, counts = bob_verify(
             rows, rows["alice_basis"],
             decode_payload(cb, dec0[consistent], config.payload_mode),
             config.n_tol, config.e_tol, config.commit_bit,
         )
 
-        verified = zip(verdicts, counts.tolist())
+        verified = zip(codes.tolist(), counts.tolist())
         hexes = [[packed.hex() for packed in pack_bits(ct)] for ct in cts]
         for k, ok in enumerate(consistent.tolist()):
-            verdict, row = next(verified) if ok else (Verdict.REJECT, None)
-            transcript.commitments.append({
+            code, row = next(verified) if ok else (2, None)
+            transcript["commitments"].append({
                 "frame_id": frame_ids[k],
                 "messages": [
                     {
@@ -495,16 +483,15 @@ def run_session(config: SessionConfig) -> SessionTranscript:
                     for ch, off, hx in zip(buffers, offsets, hexes)
                 ],
                 "relay_consistent": ok,
-                "verdict": verdict.value,
+                "verdict": VERDICTS[code],
                 "counts": None if row is None else dict(zip(COUNT_FIELDS, row)),
             })
 
-        first = transcript.commitments[0]
-        transcript.verdict = first["verdict"]
-        accept = _VERDICTS[config.commit_bit].value
-        transcript.status = "accept" if first["verdict"] == accept else "reject"
+        verdict = transcript["verdict"] = transcript["commitments"][0]["verdict"]
+        accepted = verdict == VERDICTS[config.commit_bit]
+        transcript["status"] = "accept" if accepted else "reject"
 
-    transcript.key_ledger = {
+    transcript["key_ledger"] = {
         ch: {"generated": buffers[ch].total, "consumed": buffers[ch].consumed}
         for ch in (CHANNEL_P0, CHANNEL_P1)
     }
@@ -538,11 +525,11 @@ def simulate_cheating_alice(config: SessionConfig, trials: int) -> tuple[float, 
         substrings = _commit_substrings(rows, config.commit_bit)
         for target in (0, 1):
             disclosure = honest if target == config.commit_bit else 1 - honest
-            verdicts, _ = bob_verify(
+            codes, _ = bob_verify(
                 rows, disclosure, substrings,
                 config.n_tol, config.e_tol, target,
             )
-            succ[target] += verdicts.count(_VERDICTS[target])
+            succ[target] += int(np.count_nonzero(codes == target))
         done += len(rows)
         if done >= trials:
             return succ[0] / trials, succ[1] / trials

@@ -111,19 +111,6 @@ class NetworkGraph:
         return cls(nodes, edges)
 
 
-@dataclass(frozen=True)
-class PathChoice:
-    """A simple path with its per-edge serve probabilities and a score."""
-
-    nodes: tuple[str, ...]
-    edge_probs: tuple[float, ...]
-    score: float = 0.0
-
-    @property
-    def viable(self) -> bool:
-        return all(p > 0.0 for p in self.edge_probs)
-
-
 class Candidates:
     """Every simple path of one discovery, over a per-edge table.
 
@@ -240,21 +227,21 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     return Candidates(paths, edges, serve)
 
 
-def _pick(candidates: Candidates, scores: list) -> PathChoice:
-    """The path of maximum score; ties go to fewer hops, then
-    lexicographic node order."""
+def _pick(candidates: Candidates, scores: list) -> tuple[int, float]:
+    """Index and score of the path of maximum score; ties go to fewer
+    hops, then lexicographic node order."""
     best = max(scores)
     paths = candidates.paths
     chosen = min(
         (i for i, s in enumerate(scores) if s == best),
         key=lambda i: (len(paths[i]), paths[i]),
     )
-    return PathChoice(paths[chosen], candidates.probs(chosen), scores[chosen])
+    return chosen, scores[chosen]
 
 
-def datagram_select(candidates: Candidates) -> PathChoice:
-    """Path with the maximum product of edge serve probabilities; ties go
-    to fewer hops, then lexicographic node order."""
+def datagram_select(candidates: Candidates) -> tuple[int, float]:
+    """Index and score of the path with the maximum product of edge serve
+    probabilities; ties go to fewer hops, then lexicographic node order."""
     if not candidates.paths:
         raise ValueError("empty path set")
     serve = candidates.serve
@@ -263,13 +250,14 @@ def datagram_select(candidates: Candidates) -> PathChoice:
     return _pick(candidates, [math.prod(map(serve.__getitem__, row)) for row in candidates.edges])
 
 
-def vc_select(candidates: Candidates, alpha: float) -> PathChoice:
-    """Virtual-circuit choice: maximize sum(log2 p_e) - alpha * hops.
+def vc_select(candidates: Candidates, alpha: float) -> tuple[int, float]:
+    """Virtual-circuit choice: index and score of the path maximizing
+    sum(log2 p_e) - alpha * hops.
 
     alpha = 0 reduces exactly to :func:`datagram_select`.  Paths with a
     zero-probability edge score -inf; if every candidate does, the
-    returned choice has score -inf and ``viable`` False (no viable
-    circuit), with the same tie-breaks as the datagram rule.
+    returned score is -inf (no viable circuit), with the same tie-breaks
+    as the datagram rule.
     """
     if not candidates.paths:
         raise ValueError("empty path set")
@@ -287,11 +275,12 @@ def vc_select(candidates: Candidates, alpha: float) -> PathChoice:
 
 def reserve_circuit(
     graph: NetworkGraph,
-    chosen: PathChoice,
     candidates: Candidates,
+    chosen: int,
     traffic: TrafficSpec,
 ) -> dict:
-    """Commit the source to ``chosen`` and release every other candidate.
+    """Commit the source to candidate ``chosen`` and release every other
+    candidate.
 
     Each relay on the chosen path gets a commitment handle, the string
     ``commit:src->dst:relay``; no session is run.  Edges on non-chosen
@@ -299,20 +288,17 @@ def reserve_circuit(
     recomputed serve probabilities never decrease.  Returns the
     reservation as the route report writes it.
     """
-    try:
-        edges = candidates.edges[candidates.paths.index(chosen.nodes)]
-    except ValueError:
-        raise ValueError("chosen path is not in the candidate set") from None
+    nodes = candidates.paths[chosen]
     bits = list(graph.buffers.values())
     return {
-        "path": list(chosen.nodes),
-        "before_probs": list(chosen.edge_probs),
+        "path": list(nodes),
+        "before_probs": list(candidates.probs(chosen)),
         "after_probs": [
             serve_probability(bits[edge], traffic.n_packets, traffic.packet_len)
-            for edge in edges
+            for edge in candidates.edges[chosen]
         ],
         "handles": [
             {"relay": relay, "handle": f"commit:{traffic.source}->{traffic.destination}:{relay}"}
-            for relay in chosen.nodes
+            for relay in nodes
         ],
     }

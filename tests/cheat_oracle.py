@@ -31,7 +31,7 @@ import numpy as np
 from codebook_reference import is_codeword
 from pbc_bb84 import math_core as mc
 from pbc_bb84.codebook import Codebook
-from pbc_bb84.commitment_protocol import Verdict, bob_verify
+from pbc_bb84.commitment_protocol import bob_verify
 
 
 def best_unveiling(row, payload, claimed_bit, n_tol, e_tol) -> float:
@@ -48,14 +48,13 @@ def best_unveiling(row, payload, claimed_bit, n_tol, e_tol) -> float:
     )
     labellings = np.array(list(itertools.product((0, 1), repeat=len(row))))
     # one row per (labelling, completion), labellings varying slowest
-    verdicts, _ = bob_verify(
+    codes, _ = bob_verify(
         np.tile(completions, (len(labellings), 1)),
         np.repeat(labellings, len(completions), axis=0),
         np.tile(payload, (len(labellings) * len(completions), 1)),
         n_tol, e_tol, claimed_bit=claimed_bit,
     )
-    wanted = Verdict.ACCEPT0 if claimed_bit == 0 else Verdict.ACCEPT1
-    accepted = np.reshape([v is wanted for v in verdicts], (len(labellings), -1))
+    accepted = np.reshape(codes == claimed_bit, (len(labellings), -1))
     return accepted.sum(axis=1).max() / len(completions)
 
 

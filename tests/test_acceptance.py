@@ -232,12 +232,12 @@ def test_06_protocol_completeness():
         honest = cp.run_session(
             cp.SessionConfig(seed=seed, frame_budget=400)
         )
-        if honest.status == "accept":
+        if honest["status"] == "accept":
             accepts += 1
         tampered = cp.run_session(
             cp.SessionConfig(seed=seed, frame_budget=400, tamper_p1_bit=0)
         )
-        if tampered.status == "reject" and not tampered.commitments[0][
+        if tampered["status"] == "reject" and not tampered["commitments"][0][
             "relay_consistent"
         ]:
             rejects += 1
@@ -254,7 +254,7 @@ def test_07_otp_discipline():
     start = time.perf_counter()
     transcript = cp.run_session(
         cp.SessionConfig(seed=7, frame_budget=1000, commit_all=True)
-    ).to_json_dict()
+    )
     intervals = {cp.CHANNEL_P0: [], cp.CHANNEL_P1: []}
     for entry in transcript["commitments"]:
         for msg in entry["messages"]:
@@ -291,7 +291,7 @@ def test_08_concealment_chi_square():
             cp.SessionConfig(
                 seed=8, frame_budget=220_000, commit_all=True, commit_bit=bit
             )
-        ).to_json_dict()
+        )
         bits = []
         for entry in transcript["commitments"]:
             msg = entry["messages"][0]
@@ -352,10 +352,10 @@ def test_09_routing_oracles():
             continue
         checked += 1
         best = max(math.prod(paths.probs(i)) for i in range(len(paths)))
-        chosen = rr.datagram_select(paths)
-        if math.prod(chosen.edge_probs) != best:
+        chosen, score = rr.datagram_select(paths)
+        if math.prod(paths.probs(chosen)) != best or score != best:
             mismatches += 1
-        if rr.vc_select(paths, 0.0).nodes != chosen.nodes:
+        if rr.vc_select(paths, 0.0)[0] != chosen:
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = unit_ok and mismatches == 0 and elapsed < 30.0

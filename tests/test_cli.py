@@ -50,6 +50,24 @@ def network_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def small_argv(tmp_path, network_file):
+    """A small accepted argument list of each subcommand, without ``-o``:
+    the default session, a 3x2 rates grid, the default binding grid at
+    ``--delta-grid 10`` and a diamond route."""
+    config = tmp_path / "session.json"
+    config.write_text("{}")
+    return {
+        "rates": ["rates", "--q-steps", "3", "--p-steps", "2"],
+        "binding": ["binding", "--delta-grid", "10"],
+        "simulate": ["simulate", "--config", str(config)],
+        "route": ["route", "--network", str(network_file)],
+    }
+
+
+COMMANDS = ["rates", "binding", "simulate", "route"]
+
+
 #: One field's value: in and out of range, integral and fractional floats,
 #: NaN, infinities, bools, huge numbers, null and strings.  Other floats stay
 #: within 1e4, where the runtime's exact C(2N, N) is cheap.
@@ -370,9 +388,15 @@ class TestSimulate:
             "simulate: invalid config: config must be a JSON object\n"
         )
 
-    def test_deeply_nested_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("data", [
+        b"[" * 100_000 + b"]" * 100_000,
+        # past Python's int-string limit of 4,300 digits
+        b'{"seed": ' + b"9" * 5_000 + b"}",
+        b'\xff\xfe{}',
+    ], ids=["nested", "long_integer", "not_utf8"])
+    def test_unreadable_config(self, tmp_path, capsys, data):
         cfg = tmp_path / "session.json"
-        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        cfg.write_bytes(data)
         assert run_cli(["simulate", "--config", str(cfg)]) == 64
         assert capsys.readouterr().err.count("\n") == 1
 
@@ -510,6 +534,22 @@ class TestRoute:
         assert report["status"] == "unreachable"
         assert report["chosen"] is None
 
+    def test_underflowing_product_is_viable(self, tmp_path):
+        # each edge serves 1e-200, so the datagram product underflows to
+        # 0.0 while no edge is dead
+        doc = {
+            "nodes": ["A", "B", "C"],
+            "edges": [{"a": "A", "b": "B", "buffer_bits": 1},
+                      {"a": "B", "b": "C", "buffer_bits": 1}],
+            "traffic": {"src": "A", "dst": "C", "n_packets": 10**200, "packet_len": 1},
+        }
+        net, out = tmp_path / "net.json", tmp_path / "route.json"
+        net.write_text(json.dumps(doc))
+        assert run_cli(["route", "--network", str(net), "-o", str(out)]) == 0
+        chosen = json.loads(out.read_text())["chosen"]
+        assert chosen["edge_probs"] == [1e-200, 1e-200] and chosen["score"] == 0.0
+        assert chosen["viable"] is True
+
     def test_empty_network_is_usage_error(self, tmp_path):
         net = tmp_path / "net.json"
         net.write_text(json.dumps({"nodes": [], "edges": [], "traffic": {}}))
@@ -633,9 +673,35 @@ class TestUsage:
         run_cli(["rates", "--q-steps", "1", "--p-steps", "1", "-o", "rel.csv"])
         assert (tmp_path / "rel.csv").exists()
 
-    def test_cli_imports_no_scipy(self):
-        # scipy is test-only; only a fresh interpreter shows what the
-        # package imports by itself
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("target", ["missing_dir", "directory", "missing_env_dir"])
+    def test_unwritable_output(self, small_argv, tmp_path, monkeypatch, capsys,
+                               command, target):
+        if target == "missing_env_dir":
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "missing"))
+            out = "out.txt"
+        elif target == "missing_dir":
+            out = str(tmp_path / "missing" / "out.txt")
+        else:
+            out = str(tmp_path)
+        assert run_cli([*small_argv[command], "-o", out]) == 64
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stdout_matches_file(self, small_argv, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        argv = small_argv[command]
+        code = run_cli([*argv, "-o", str(out)])
+        for stdout in ([], ["-o", "-"]):
+            assert run_cli([*argv, *stdout]) == code
+            # a closed stdout would fail here, not only in a later test
+            assert not sys.stdout.closed
+            assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_cli_imports_no_test_packages(self):
+        # the test extra's packages are test-only; only a fresh interpreter
+        # shows what the package imports by itself
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         loaded = subprocess.run(
             [sys.executable, "-c",
@@ -643,7 +709,8 @@ class TestUsage:
             env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, check=True,
         ).stdout.split()
-        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+        test_only = ("scipy", "jsonschema", "networkx", "hypothesis", "pytest")
+        assert [m for m in loaded if m.split(".")[0] in test_only] == []
 
 
 def violates_cross_field_rule(name, value):

@@ -52,6 +52,12 @@ def table(*paths):
     return rr.Candidates([nodes for nodes, _ in paths], edges, serve)
 
 
+def picked(candidates, selected):
+    """Node tuple of the candidate a selection rule returned."""
+    index, _score = selected
+    return candidates.paths[index]
+
+
 def choices(candidates):
     """(nodes, edge probabilities) of each candidate, in table order."""
     return [(nodes, candidates.probs(i)) for i, nodes in enumerate(candidates.paths)]
@@ -211,18 +217,18 @@ class TestSelection:
             (("A", "B", "D"), (0.5, 1.0)),
             (("A", "C", "D"), (0.9, 1.0)),
         )
-        assert rr.datagram_select(paths).nodes == ("A", "C", "D")
+        assert picked(paths, rr.datagram_select(paths)) == ("A", "C", "D")
 
     def test_tie_break_fewer_hops(self):
         paths = table(
             (("A", "B", "C", "D"), (1.0, 0.9, 1.0)),
             (("A", "E", "D"), (0.9, 1.0)),
         )
-        assert rr.datagram_select(paths).nodes == ("A", "E", "D")
+        assert picked(paths, rr.datagram_select(paths)) == ("A", "E", "D")
 
     def test_single_path(self):
         only = table((("A", "D"), (0.3,)))
-        assert rr.datagram_select(only).nodes == ("A", "D")
+        assert rr.datagram_select(only) == (0, 0.3)
 
     def test_empty_set(self):
         with pytest.raises(ValueError):
@@ -238,15 +244,15 @@ class TestSelection:
             paths = rr.flood_discover(graph, traffic)
             if not paths.paths:
                 continue
-            assert rr.vc_select(paths, 0.0).nodes == rr.datagram_select(paths).nodes
-            assert rr.datagram_select(paths).nodes == brute_force_best(paths)
+            assert rr.vc_select(paths, 0.0)[0] == rr.datagram_select(paths)[0]
+            assert picked(paths, rr.datagram_select(paths)) == brute_force_best(paths)
 
     def test_hop_penalty_dominates_equal_probs(self):
         paths = table(
             (("A", "B", "C", "D"), (0.8, 0.8, 0.8)),
             (("A", "E", "D"), (0.8, 0.8)),
         )
-        assert rr.vc_select(paths, 0.5).nodes == ("A", "E", "D")
+        assert picked(paths, rr.vc_select(paths, 0.5)) == ("A", "E", "D")
 
     def test_vc_matches_scoring_oracle(self):
         paths = table(
@@ -254,13 +260,11 @@ class TestSelection:
             (("A", "C", "D"), (0.6, 0.6)),
             (("A", "B", "C", "D"), (0.9, 0.95, 0.6)),
         )
-        assert rr.vc_select(paths, 0.5).nodes == brute_force_best(paths, alpha=0.5)
+        assert picked(paths, rr.vc_select(paths, 0.5)) == brute_force_best(paths, alpha=0.5)
 
     def test_all_zero_paths_not_viable(self):
         paths = table((("A", "B", "D"), (0.0, 0.5)))
-        chosen = rr.vc_select(paths, 0.5)
-        assert not chosen.viable
-        assert chosen.score == -math.inf
+        assert rr.vc_select(paths, 0.5) == (0, -math.inf)
 
 
 class TestReserveCircuit:
@@ -268,28 +272,20 @@ class TestReserveCircuit:
         graph = diamond_graph(ab=50, bd=80, ac=60, cd=90)
         traffic = rr.TrafficSpec("A", "D", 10, 10)
         paths = rr.flood_discover(graph, traffic)
-        chosen = rr.vc_select(paths, 0.5)
-        report = rr.reserve_circuit(graph, chosen, paths, traffic)
-        assert tuple(report["path"]) == chosen.nodes
+        chosen, _ = rr.vc_select(paths, 0.5)
+        report = rr.reserve_circuit(graph, paths, chosen, traffic)
+        assert tuple(report["path"]) == paths.paths[chosen]
+        assert tuple(report["before_probs"]) == paths.probs(chosen)
         for before, after in zip(report["before_probs"], report["after_probs"]):
             assert after >= before
-        assert len(report["handles"]) == len(chosen.nodes)
+        assert len(report["handles"]) == len(paths.paths[chosen])
 
     def test_single_candidate_unchanged(self):
         graph = rr.NetworkGraph(["A", "B"], [("A", "B", 42)])
         traffic = rr.TrafficSpec("A", "B", 3, 10)
         paths = rr.flood_discover(graph, traffic)
-        only = rr.PathChoice(*choices(paths)[0])
-        report = rr.reserve_circuit(graph, only, paths, traffic)
+        report = rr.reserve_circuit(graph, paths, 0, traffic)
         assert report["before_probs"] == report["after_probs"]
-
-    def test_chosen_must_be_candidate(self):
-        graph = diamond_graph()
-        traffic = rr.TrafficSpec("A", "D", 1, 10)
-        paths = rr.flood_discover(graph, traffic)
-        rogue = rr.PathChoice(("A", "D"), (1.0,))
-        with pytest.raises(ValueError):
-            rr.reserve_circuit(graph, rogue, paths, traffic)
 
 
 
