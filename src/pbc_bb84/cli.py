@@ -167,27 +167,59 @@ def _json_score(score: float):
 _CANDIDATES_SLOT = '\n  "candidates": []'
 
 
-def _write_candidates(stream, candidates, nodes) -> None:
+#: Characters of report text gathered before each write: the report is
+#: never held whole, and each write stays small.
+_CHUNK = 2**16
+
+
+def _write_candidates(stream, candidates) -> None:
     """Write the ``candidates`` array as ``json.dump(..., indent=2,
     sort_keys=True)`` lays it out, from the JSON text of each edge's
-    serve probability and of each node name."""
-    if not candidates.paths:
+    serve probability and of each node name.
+
+    Routes are walked in creation order, keeping the text of the newest
+    route at each depth; each path is written after the routes created
+    before it was found, from the text of its end route."""
+    if not len(candidates):
         stream.write("[]")
         return
-    prob_text = [json.dumps(p) for p in candidates.serve]
-    node_text = {n: json.dumps(n) for n in nodes}
+    node_text = [json.dumps(n) for n in candidates.names]
+    source = node_text[candidates.node[0]]
     sep = ",\n        "  # between two items of a candidate's list
-    lead = "[\n    {\n      "
-    for path, row in zip(candidates.paths, candidates.edges):
+    if candidates.last[0] < 0:
         # json writes an empty list, the path from a node to itself, as []
-        probs = sep.join(map(prob_text.__getitem__, row))
-        probs = "[\n        " + probs + "\n      ]" if row else "[]"
-        stream.write(
-            lead + '"edge_probs": ' + probs + ',\n      "path": [\n        '
-            + sep.join(map(node_text.__getitem__, path)) + "\n      ]\n    }"
-        )
+        stream.write('[\n    {\n      "edge_probs": [],\n      "path": [\n        '
+                     + source + "\n      ]\n    }\n  ]")
+        return
+    prob_text = [json.dumps(p) for p in candidates.serve]
+    tail = sep + node_text[candidates.destination] + "\n      ]\n    }"
+    # edge_probs and path texts of the newest route at each depth, open at
+    # the end
+    probs_at = ['"edge_probs": [\n        '] * len(candidates.levels)
+    nodes_at = [source] * len(candidates.levels)
+    depth, node, edge = (
+        a.tolist() for a in (candidates.depth, candidates.node, candidates.edge))
+    created = 1
+    lead = "[\n    {\n      "
+    chunk, size = [], 0
+    for end, last, mark in zip(*(
+            a.tolist() for a in (candidates.end, candidates.last, candidates.mark))):
+        for route in range(created, mark):
+            d = depth[route]
+            probs_at[d] = probs_at[d - 1] + prob_text[edge[route]] + sep
+            nodes_at[d] = nodes_at[d - 1] + sep + node_text[node[route]]
+        created = mark
+        d = depth[end]
+        text = (lead + probs_at[d] + prob_text[last] + '\n      ],\n      "path": [\n        '
+                + nodes_at[d] + tail)
+        chunk.append(text)
+        size += len(text)
+        if size >= _CHUNK:
+            stream.write("".join(chunk))
+            chunk, size = [], 0
         lead = ",\n    {\n      "
-    stream.write("\n  ]")
+    chunk.append("\n  ]")
+    stream.write("".join(chunk))
 
 
 def _alpha(text: str) -> float:
@@ -220,7 +252,7 @@ def cmd_route(args) -> int:
         "alpha": args.alpha if args.mode == "vc" else None,
         "candidates": [],
     }
-    if not candidates.paths:
+    if not len(candidates):
         report["status"] = "unreachable"
         report["chosen"] = None
         report["reservation"] = None
@@ -236,7 +268,7 @@ def cmd_route(args) -> int:
             )
         probs = candidates.probs(chosen)
         report["chosen"] = {
-            "path": list(candidates.paths[chosen]),
+            "path": list(candidates.path(chosen)),
             "edge_probs": list(probs),
             "score": _json_score(score),
             # not score > 0: a datagram product can underflow to 0.0
@@ -246,7 +278,7 @@ def cmd_route(args) -> int:
     head, tail = json.dumps(report, indent=2, sort_keys=True).split(_CANDIDATES_SLOT)
     with _output(args.output) as stream:
         stream.write(head + '\n  "candidates": ')
-        _write_candidates(stream, candidates, graph.nodes)
+        _write_candidates(stream, candidates)
         stream.write(tail + "\n")
     return EXIT_OK
 

@@ -2,18 +2,20 @@
 
 Serve probabilities come from the edge's one-time-pad buffer versus the
 offered load; flooding discovery enumerates every simple path, up to
-``MAX_PATHS``, as rows of edge ids over a per-edge table; datagram
-selection maximizes the product of edge probabilities; virtual-circuit
-selection trades that product against hop count and then pins the chosen
-path with per-relay commitment handles.
+``MAX_PATHS``, as the trie of routes its search extended, over a per-edge
+table; datagram selection maximizes the product of edge probabilities;
+virtual-circuit selection trades that product against hop count and then
+pins the chosen path with per-relay commitment handles.  Edge loads and
+scores are folded along the trie with numpy, so no object is made per
+path.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+
+import numpy as np
 
 #: Most simple paths a discovery may list, and most routes short of the
 #: destination it may extend: K10 has 109,601 paths between two nodes and
@@ -112,32 +114,88 @@ class NetworkGraph:
 
 
 class Candidates:
-    """Every simple path of one discovery, over a per-edge table.
+    """Every simple path of one discovery, as the trie of routes its search
+    extended, over a per-edge table.
 
-    ``paths[i]`` is path i's node sequence, in lexicographic order, and
-    ``edges[i]`` the ids of its edges in order; ``serve[e]`` is edge e's
-    serve probability under the discovery's load, or None where no path
-    crosses e.
+    Routes are numbered in the order the search created them, so a parent
+    comes before its children.  Route 0 is the source alone; route r > 0 is
+    route ``parent[r]`` extended by edge ``edge[r]`` to node ``node[r]``, an
+    index into ``names``, ``depth[r]`` edges from the source.  Path i is
+    route ``end[i]`` extended by edge ``last[i]`` to node ``destination``,
+    found when ``mark[i]`` routes had been created; paths are numbered in
+    lexicographic order of their node names.  The path from a node to
+    itself is route 0 with ``last`` -1.  ``serve[e]`` is edge e's serve
+    probability under the discovery's load, or None where no path crosses
+    e.  ``levels[d]`` lists the routes at depth d in creation order.
     """
 
     # a plain class: a dataclass would add about a millisecond to every
     # import of the CLI
-    __slots__ = ("paths", "edges", "serve")
+    __slots__ = (
+        "names", "destination", "parent", "node", "edge", "depth",
+        "end", "last", "mark", "serve", "levels",
+    )
 
     def __init__(
         self,
-        paths: list[tuple[str, ...]],
-        edges: list[tuple[int, ...]],
+        names: tuple[str, ...],
+        destination: int,
+        routes: list[int],
+        paths: list[int],
         serve: list[float | None],
     ):
-        self.paths, self.edges, self.serve = paths, edges, serve
+        """``routes`` holds (parent, node, edge, depth) of each route in
+        turn and ``paths`` (end, last, mark) of each path, flat: numpy
+        reads a flat list of ints in under half the time of a list of
+        tuples."""
+        self.names, self.destination, self.serve = names, destination, serve
+        self.parent, self.node, self.edge, self.depth = np.array(
+            routes, dtype=np.intp).reshape(-1, 4).T
+        self.end, self.last, self.mark = np.array(paths, dtype=np.intp).reshape(-1, 3).T
+        order = np.argsort(self.depth, kind="stable")
+        self.levels = np.split(order, np.cumsum(np.bincount(self.depth))[:-1])
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.end)
+
+    def _routes(self, i: int) -> list[int]:
+        """The routes path i extends, from the source's own."""
+        chain, route = [], int(self.end[i])
+        while route >= 0:
+            chain.append(route)
+            route = int(self.parent[route])
+        return chain[::-1]
+
+    def path(self, i: int) -> tuple[str, ...]:
+        """Path i's node names, from the source."""
+        nodes = [self.names[self.node[r]] for r in self._routes(i)]
+        if self.last[i] >= 0:
+            nodes.append(self.names[self.destination])
+        return tuple(nodes)
+
+    def edge_ids(self, i: int) -> tuple[int, ...]:
+        """Path i's edge ids, from the source."""
+        edges = [int(self.edge[r]) for r in self._routes(i)[1:]]
+        if self.last[i] >= 0:
+            edges.append(int(self.last[i]))
+        return tuple(edges)
 
     def probs(self, i: int) -> tuple[float, ...]:
         """Path i's serve probabilities, edge by edge."""
-        return tuple(map(self.serve.__getitem__, self.edges[i]))
+        return tuple(map(self.serve.__getitem__, self.edge_ids(i)))
+
+    def fold(self, ufunc, start: float, values: list[float | None]) -> np.ndarray:
+        """Each path's ``ufunc`` of ``start`` and its edges' ``values``,
+        left to right in edge order: each route's value is its parent's
+        combined with its last edge, one depth at a time."""
+        # an edge no path crosses has no value; only routes that lead to
+        # no path read it
+        values = np.array([math.nan if v is None else v for v in values])
+        acc = np.empty(len(self.parent))
+        acc[0] = start
+        for level in self.levels[1:]:
+            acc[level] = ufunc(acc[self.parent[level]], values[self.edge[level]])
+        return ufunc(acc[self.end], values[self.last])
 
 
 def serve_probability(buffer_bits: int, n_packets: int, packet_len: int) -> float:
@@ -166,48 +224,9 @@ def _reachable(graph: NetworkGraph, node: str) -> set[str]:
     return reach
 
 
-def _simple_paths(graph: NetworkGraph, src: str, dst: str):
-    """Node tuples and edge-id tuples of every simple path, by a DFS that
-    visits neighbours in sorted order, so paths come out lexicographic."""
-    if src == dst:
-        return [(src,)], [()]
-    if src not in _reachable(graph, dst):
-        return [], []
-    paths, edges = [], []
-    seen = {src}
-    extended = 0
-    # one frame per node on the current route: its route, its edges and
-    # the neighbours still to try
-    stack = [((src,), (), iter(graph.adj[src]))]
-    while stack:
-        route, route_edges, untried = stack[-1]
-        for nxt, edge in untried:
-            if nxt in seen:
-                continue
-            if nxt == dst:
-                paths.append(route + (nxt,))
-                edges.append(route_edges + (edge,))
-                if len(paths) > MAX_PATHS:
-                    raise TooManyPathsError(
-                        f"more than {MAX_PATHS} simple paths from {src} to {dst}"
-                    )
-                continue
-            extended += 1
-            if extended > MAX_PATHS:
-                raise TooManyPathsError(
-                    f"more than {MAX_PATHS} routes from {src} searched for {dst}"
-                )
-            seen.add(nxt)
-            stack.append((route + (nxt,), route_edges + (edge,), iter(graph.adj[nxt])))
-            break
-        else:
-            stack.pop()
-            seen.remove(route[-1])
-    return paths, edges
-
-
 def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
-    """Every simple path from source to destination.
+    """Every simple path from source to destination, by a DFS that visits
+    neighbours in sorted order, so paths come out lexicographic.
 
     During discovery each edge's offered load is the number of candidate
     paths crossing it times ``n_packets``; the per-edge serve
@@ -215,62 +234,114 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     exists.  More than ``MAX_PATHS`` paths, or routes searched, raise
     :class:`TooManyPathsError`.
     """
-    if traffic.source not in graph.adj or traffic.destination not in graph.adj:
+    src, dst = traffic.source, traffic.destination
+    if src not in graph.adj or dst not in graph.adj:
         raise ValueError("source or destination not in graph")
-    paths, edges = _simple_paths(graph, traffic.source, traffic.destination)
-    bits = list(graph.buffers.values())
-    serve: list[float | None] = [None] * len(bits)
-    for edge, load in Counter(chain.from_iterable(edges)).items():
-        serve[edge] = serve_probability(
-            bits[edge], load * traffic.n_packets, traffic.packet_len
+    names = graph.nodes
+    index = {n: i for i, n in enumerate(names)}
+    s, d = index[src], index[dst]
+    serve: list[float | None] = [None] * len(graph.buffers)
+    routes = [-1, s, -1, 0]
+    if src == dst:
+        return Candidates(names, d, routes, [0, -1, 1], serve)
+    if src not in _reachable(graph, dst):
+        return Candidates(names, d, routes, [], serve)
+
+    adj = [[(index[m], edge) for m, edge in graph.adj[n]] for n in names]
+    paths: list[int] = []
+    found, created = 0, 1  # paths and routes so far
+    seen = [False] * len(names)
+    seen[s] = True
+    # one frame per route on the search's current branch: its number, its
+    # node and the neighbours still to try
+    stack = [(0, s, iter(adj[s]))]
+    while stack:
+        route, node, untried = stack[-1]
+        for nxt, edge in untried:
+            if seen[nxt]:
+                continue
+            if nxt == d:
+                paths += (route, edge, created)
+                found += 1
+                if found > MAX_PATHS:
+                    raise TooManyPathsError(
+                        f"more than {MAX_PATHS} simple paths from {src} to {dst}"
+                    )
+                continue
+            # every route but the source's own was extended short of dst
+            if created > MAX_PATHS:
+                raise TooManyPathsError(
+                    f"more than {MAX_PATHS} routes from {src} searched for {dst}"
+                )
+            seen[nxt] = True
+            routes += (route, nxt, edge, len(stack))
+            stack.append((created, nxt, iter(adj[nxt])))
+            created += 1
+            break
+        else:
+            stack.pop()
+            seen[node] = False
+
+    candidates = Candidates(names, d, routes, paths, serve)
+    # paths through each route: those ending at it, then each depth's
+    # summed into its parents, deepest first
+    under = np.bincount(candidates.end, minlength=created).astype(float)
+    for level in reversed(candidates.levels[1:]):
+        under += np.bincount(
+            candidates.parent[level], weights=under[level], minlength=created
         )
-    return Candidates(paths, edges, serve)
+    loads = np.bincount(candidates.edge[1:], weights=under[1:], minlength=len(serve))
+    loads += np.bincount(candidates.last, minlength=len(serve))
+    bits = list(graph.buffers.values())
+    for edge in np.flatnonzero(loads).tolist():
+        serve[edge] = serve_probability(
+            bits[edge], int(loads[edge]) * traffic.n_packets, traffic.packet_len
+        )
+    return candidates
 
 
-def _pick(candidates: Candidates, scores: list) -> tuple[int, float]:
+def _pick(candidates: Candidates, scores: np.ndarray) -> tuple[int, float]:
     """Index and score of the path of maximum score; ties go to fewer
-    hops, then lexicographic node order."""
-    best = max(scores)
-    paths = candidates.paths
-    chosen = min(
-        (i for i, s in enumerate(scores) if s == best),
-        key=lambda i: (len(paths[i]), paths[i]),
-    )
-    return chosen, scores[chosen]
+    hops, then the lower index, which is lexicographic node order."""
+    ties = np.flatnonzero(scores == scores.max())
+    chosen = int(ties[np.argmin(candidates.depth[candidates.end[ties]])])
+    return chosen, scores[chosen].item()
 
 
 def datagram_select(candidates: Candidates) -> tuple[int, float]:
     """Index and score of the path with the maximum product of edge serve
     probabilities; ties go to fewer hops, then lexicographic node order."""
-    if not candidates.paths:
+    if not len(candidates):
         raise ValueError("empty path set")
-    serve = candidates.serve
-    # math.prod runs left to right from 1 over the path's probabilities in
-    # edge order, so each product is rounded as for the path's own tuple
-    return _pick(candidates, [math.prod(map(serve.__getitem__, row)) for row in candidates.edges])
+    if candidates.last[0] < 0:
+        return 0, 1  # a node to itself: math.prod of no probabilities
+    # from 1.0, left to right in edge order, so each product is rounded as
+    # math.prod rounds the path's own probabilities
+    return _pick(candidates, candidates.fold(np.multiply, 1.0, candidates.serve))
 
 
 def vc_select(candidates: Candidates, alpha: float) -> tuple[int, float]:
     """Virtual-circuit choice: index and score of the path maximizing
-    sum(log2 p_e) - alpha * hops.
+    sum(log2 p_e) - alpha * hops, the logarithms added left to right.
 
     alpha = 0 reduces exactly to :func:`datagram_select`.  Paths with a
     zero-probability edge score -inf; if every candidate does, the
     returned score is -inf (no viable circuit), with the same tie-breaks
     as the datagram rule.
     """
-    if not candidates.paths:
+    if not len(candidates):
         raise ValueError("empty path set")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and non-negative")
+    if candidates.last[0] < 0:
+        return 0, 0.0  # a node to itself: no hops, no logarithms
     # a zero edge's -inf makes its paths' sums -inf, minus any finite penalty
     log2 = [
         None if p is None else math.log2(p) if p > 0.0 else -math.inf
         for p in candidates.serve
     ]
-    return _pick(candidates, [
-        sum(map(log2.__getitem__, row)) - alpha * len(row) for row in candidates.edges
-    ])
+    hops = candidates.depth[candidates.end] + 1
+    return _pick(candidates, candidates.fold(np.add, 0.0, log2) - alpha * hops)
 
 
 def reserve_circuit(
@@ -288,14 +359,14 @@ def reserve_circuit(
     recomputed serve probabilities never decrease.  Returns the
     reservation as the route report writes it.
     """
-    nodes = candidates.paths[chosen]
+    nodes = candidates.path(chosen)
     bits = list(graph.buffers.values())
     return {
         "path": list(nodes),
         "before_probs": list(candidates.probs(chosen)),
         "after_probs": [
             serve_probability(bits[edge], traffic.n_packets, traffic.packet_len)
-            for edge in candidates.edges[chosen]
+            for edge in candidates.edge_ids(chosen)
         ],
         "handles": [
             {"relay": relay, "handle": f"commit:{traffic.source}->{traffic.destination}:{relay}"}

@@ -346,9 +346,9 @@ def test_09_routing_oracles():
         graph, traffic = random_instance(seed)
         paths = rr.flood_discover(graph, traffic)
         expected = oracle_paths(graph, traffic.source, traffic.destination)
-        if sorted(paths.paths) != expected:
+        if sorted(paths.path(i) for i in range(len(paths))) != expected:
             mismatches += 1
-        if not paths.paths:
+        if not len(paths):
             continue
         checked += 1
         best = max(math.prod(paths.probs(i)) for i in range(len(paths)))
