@@ -4,7 +4,10 @@ Subcommands: ``rates`` (redundant-key-rate sweep), ``binding``
 (binding-bound grid), ``simulate`` (one protocol session), ``route``
 (flooding discovery plus datagram/vc selection).  Every output is a pure
 function of (arguments, seed); CSV column order is fixed and JSON is
-emitted with sorted keys so reruns are byte-identical.
+emitted with sorted keys so reruns are byte-identical.  Each JSON output
+is the text ``json.dump(..., indent=2, sort_keys=True)`` would write, but
+its long array, the transcript's ``commitments`` or the report's
+``candidates``, is written from text templates into its slot, in chunks.
 
 Exit codes: 0 success / Accept, 2 Reject, 3 NoCommitFrame, 64 usage
 error, an unwritable output included.  ``PBC_BB84_OUTPUT_DIR``
@@ -125,6 +128,99 @@ def cmd_binding(args) -> int:
     return EXIT_OK
 
 
+#: Characters of output text gathered before each write: a transcript or
+#: report is never held whole, and each write stays small.
+_CHUNK = 2**16
+
+
+def _write_spliced(stream, text: str, key: str, write_value, value) -> None:
+    """Write ``text``, the ``json.dumps(..., indent=2, sort_keys=True)``
+    text of a document whose top-level array ``key`` was left empty, and a
+    newline, with ``write_value(stream, value)`` writing the array into its
+    slot.  Only a top-level key starts a line with two spaces, so the slot
+    is found by its text."""
+    slot = f'\n  "{key}": '
+    head, tail = text.split(slot + "[]")
+    stream.write(head + slot)
+    write_value(stream, value)
+    stream.write(tail + "\n")
+
+
+#: A commitment of the transcript, one of its messages and its counts, as
+#: ``json.dump(..., indent=2, sort_keys=True)`` lays them out in the
+#: ``commitments`` array.
+_COMMITMENT = (
+    '{\n      "counts": %s,\n      "frame_id": %s,\n      "messages": [\n'
+    '        %s,\n        %s\n      ],\n      "relay_consistent": %s,\n'
+    '      "verdict": "%s"\n    }'
+)
+_MESSAGE = (
+    '{\n          "channel": "%(channel)s",\n'
+    '          "ciphertext_hex": "%(ciphertext_hex)s",\n'
+    '          "key_offset": %(key_offset)s,\n          "length": %(length)s\n        }'
+)
+_COUNTS = (
+    '{\n        "n_diag": %(n_diag)s,\n        "n_err_diag": %(n_err_diag)s,\n'
+    '        "n_err_rect": %(n_err_rect)s,\n        "n_rect": %(n_rect)s\n      }'
+)
+
+
+def _write_commitments(stream, commitments: list) -> None:
+    """Write the transcript's ``commitments`` array as ``json.dump(...,
+    indent=2, sort_keys=True)`` lays it out, one template per commitment.
+
+    The templates hold the commitments :func:`run_session` makes: integers,
+    a boolean, counts or None, and strings that JSON writes as they are (a
+    channel, lowercase hex, a verdict name)."""
+    if not commitments:
+        stream.write("[]")
+        return
+    lead = "[\n    "
+    chunk, size = [], 0
+    for c in commitments:
+        counts = c["counts"]
+        m0, m1 = c["messages"]
+        text = lead + _COMMITMENT % (
+            "null" if counts is None else _COUNTS % counts,
+            c["frame_id"],
+            _MESSAGE % m0,
+            _MESSAGE % m1,
+            "true" if c["relay_consistent"] else "false",
+            c["verdict"],
+        )
+        chunk.append(text)
+        size += len(text)
+        if size >= _CHUNK:
+            stream.write("".join(chunk))
+            chunk, size = [], 0
+        lead = ",\n    "
+    chunk.append("\n  ]")
+    stream.write("".join(chunk))
+
+
+def _write_transcript(stream, transcript: dict) -> None:
+    """Write a :func:`run_session` transcript and a newline, byte for byte
+    as ``json.dump(..., indent=2, sort_keys=True)`` lays it out: the
+    commitments from templates, into their slot, and ``schedule.send_times``
+    by json's C encoder."""
+    doc = dict(transcript, commitments=[])
+    schedule = transcript["schedule"]
+    if schedule is None:
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    else:
+        doc["schedule"] = dict(schedule, send_times={})
+        # send_times' values are numbers, so the C encoder lays it out with
+        # a line break in each separator; only its brackets are moved.  A
+        # key of a top-level object starts a line with four spaces.
+        flat = json.dumps(schedule["send_times"], separators=(",\n      ", ": "),
+                          sort_keys=True)
+        text = json.dumps(doc, indent=2, sort_keys=True).replace(
+            '\n    "send_times": {}',
+            '\n    "send_times": {\n      ' + flat[1:-1] + "\n    }", 1)
+    _write_spliced(stream, text, "commitments", _write_commitments,
+                   transcript["commitments"])
+
+
 def cmd_simulate(args) -> int:
     try:
         with open(args.config) as fh:
@@ -147,8 +243,7 @@ def cmd_simulate(args) -> int:
 
     transcript = run_session(config)
     with _output(args.output) as stream:
-        json.dump(transcript, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+        _write_transcript(stream, transcript)
     if transcript["status"] == "accept":
         return EXIT_OK
     if transcript["status"] == "reject":
@@ -160,16 +255,6 @@ def _json_score(score: float):
     if math.isinf(score):
         return "-inf" if score < 0 else "inf"
     return score
-
-
-#: Where ``candidates`` sits in the report that ``json`` lays out with
-#: ``indent=2``; only a top-level key starts a line with two spaces.
-_CANDIDATES_SLOT = '\n  "candidates": []'
-
-
-#: Characters of report text gathered before each write: the report is
-#: never held whole, and each write stays small.
-_CHUNK = 2**16
 
 
 def _write_candidates(stream, candidates) -> None:
@@ -275,11 +360,9 @@ def cmd_route(args) -> int:
             "viable": all(p > 0.0 for p in probs),
         }
 
-    head, tail = json.dumps(report, indent=2, sort_keys=True).split(_CANDIDATES_SLOT)
+    text = json.dumps(report, indent=2, sort_keys=True)
     with _output(args.output) as stream:
-        stream.write(head + '\n  "candidates": ')
-        _write_candidates(stream, candidates)
-        stream.write(tail + "\n")
+        _write_spliced(stream, text, "candidates", _write_candidates, candidates)
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ materialized as floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _LN2 = math.log(2.0)
 
@@ -30,7 +29,6 @@ MAX_DELTA_GRID = 2**20
 MAX_N_TOL = 2**20
 
 
-@dataclass(frozen=True)
 class RateParams:
     """Per-frame constants feeding the key-rate formulas.
 
@@ -38,13 +36,15 @@ class RateParams:
     error-correction leakage in bits.
     """
 
-    n_quarter: int
-    q_tol: float
-    leak_ec: float
-    eps_sec: float
-    eps_cor: float
+    # a plain class, as is BindingParams: a dataclass would add to every
+    # import of the CLI
+    __slots__ = ("n_quarter", "q_tol", "leak_ec", "eps_sec", "eps_cor")
 
-    def __post_init__(self):
+    def __init__(
+        self, n_quarter: int, q_tol: float, leak_ec: float, eps_sec: float, eps_cor: float
+    ):
+        self.n_quarter, self.q_tol, self.leak_ec = n_quarter, q_tol, leak_ec
+        self.eps_sec, self.eps_cor = eps_sec, eps_cor
         if self.n_quarter < 1:
             raise ValueError("n_quarter must be >= 1")
         if not 0.0 <= self.q_tol < 0.5:
@@ -57,17 +57,15 @@ class RateParams:
                 raise ValueError(f"{name} must lie strictly in (0, 1)")
 
 
-@dataclass(frozen=True)
 class BindingParams:
     """Inputs of the binding bound: commit probability, Bob's acceptance
     thresholds and the resolution of the grid search over delta."""
 
-    p_commit: float
-    n_tol: int
-    e_tol: float
-    delta_grid: int = 10_000
+    __slots__ = ("p_commit", "n_tol", "e_tol", "delta_grid")
 
-    def __post_init__(self):
+    def __init__(self, p_commit: float, n_tol: int, e_tol: float, delta_grid: int = 10_000):
+        self.p_commit, self.n_tol, self.e_tol = p_commit, n_tol, e_tol
+        self.delta_grid = delta_grid
         if not 0.0 <= self.p_commit <= 1.0:
             raise ValueError("p_commit must lie in [0, 1]")
         if not 1 <= self.n_tol <= MAX_N_TOL:

@@ -13,7 +13,6 @@ path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,14 +40,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
 class TrafficSpec:
-    source: str
-    destination: str
-    n_packets: int
-    packet_len: int
+    """One flow: ``n_packets`` packets of ``packet_len`` bits from node
+    ``source`` to node ``destination``."""
 
-    def __post_init__(self):
+    # a plain class, as is Candidates: a dataclass would add to every
+    # import of the CLI
+    __slots__ = ("source", "destination", "n_packets", "packet_len")
+
+    def __init__(self, source: str, destination: str, n_packets: int, packet_len: int):
+        self.source, self.destination = source, destination
+        self.n_packets, self.packet_len = n_packets, packet_len
         if not isinstance(self.source, str) or not isinstance(self.destination, str):
             raise ValueError("src and dst must be node names")
         if not _is_int(self.n_packets) or not _is_int(self.packet_len):

@@ -351,7 +351,8 @@ class TestGraphValidation:
     def test_integral_float_traffic(self):
         doc = {"src": "A", "dst": "D", "n_packets": 2.0, "packet_len": 1e3}
         traffic = rr.TrafficSpec.from_json(doc)
-        assert traffic == rr.TrafficSpec("A", "D", 2, 1000)
+        assert (traffic.source, traffic.destination, traffic.n_packets,
+                traffic.packet_len) == ("A", "D", 2, 1000)
         assert type(traffic.n_packets) is type(traffic.packet_len) is int
 
     def test_from_json(self):
