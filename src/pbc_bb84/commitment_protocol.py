@@ -1,11 +1,13 @@
 """Commit / unveil / verify state machines between Alice, Bob and the two
 trusted relays P0 and P1.
 
-A session is a deterministic single-threaded loop over batches of frames:
-Normal frames distill one-time-pad key into two per-channel buffers,
-commitment frames (when their outcome substring is a codeword) send an
-OTP-encrypted payload to each relay, and after the waiting-time schedule
-elapses the relays cross-check and Bob verifies against his ground truth.
+A session is a deterministic single-threaded loop over protocol passes,
+blocks of frames that hold about one lossless RNG batch's worth of
+detected records (see :func:`frame_batches`).  Normal frames distill
+one-time-pad key into two per-channel buffers, commitment frames (when
+their outcome substring is a codeword) send an OTP-encrypted payload to
+each relay, and after the waiting-time schedule elapses the relays
+cross-check and Bob verifies against his ground truth.
 A frame is one row of ``bb84_frames.RECORD`` records from the channel to
 the verdict, and a basis an int code (0 rectilinear, committing bit 0; 1
 diagonal, committing bit 1); Bob verifies all of a session's commitments
@@ -60,9 +62,9 @@ COUNT_FIELDS = ("n_rect", "n_diag", "n_err_rect", "n_err_diag")
 #: simulator's speed they could not finish.
 MAX_PULSES = 2**30
 
-#: Largest accepted N.  The codeword test unranks the cutoff codeword on
-#: every batch at a cost of 2N exact binomials, so one frame took 0.13 s
-#: at N = 1024, 3.6 s at 4096 and 23 s at 8192.
+#: Largest accepted N.  The codeword test unranks the cutoff codeword once
+#: per protocol pass at a cost of 2N exact binomials, so one frame took
+#: 0.13 s at N = 1024, 3.6 s at 4096 and 23 s at 8192.
 MAX_N_QUARTER = 1024
 
 
@@ -299,12 +301,18 @@ class SessionConfig:
 def frame_batches(
     config: SessionConfig, budget: int | None = None
 ) -> Iterator[np.ndarray]:
-    """Deterministic stream of ``(n_frames, 4N)`` frame batches.
+    """Deterministic stream of ``(n_frames, 4N)`` frames, one array per
+    protocol pass.
 
-    Pulses are produced in batches; leftover detected records carry over
-    between batches so frame grouping is identical to a single long run.
-    With ``budget`` the stream ends after frame ``budget - 1``, cutting the
-    batch that holds it.
+    Pulses are drawn in RNG batches of ``batch_pulses``.  A pass gathers
+    the detected records of as many RNG batches as it takes to hold
+    ``batch_pulses`` records (one lossless batch's worth), so a lossy
+    channel pays the per-pass work once per lossless batch of records, not
+    once per RNG batch; a lossless channel makes one pass per RNG batch.
+    Leftover records carry over between passes so frame grouping is
+    identical to a single long run.  With ``budget`` no RNG batch is drawn
+    once frame ``budget`` exists, and the stream ends after frame
+    ``budget - 1``, cutting the pass that holds it.
     """
     seeds = np.random.SeedSequence(config.seed)
     size = 4 * config.n_quarter
@@ -312,13 +320,17 @@ def frame_batches(
     pending = np.empty(0, RECORD)
     first_id = 0
     while budget is None or first_id <= budget:
-        s_prep, s_chan = seeds.spawn(1)[0].generate_state(2)
-        # spawn once per batch keeps seeds independent and reproducible
-        pulses = prepare_pulses(batch_pulses, int(s_prep))
-        records = transmit_and_measure(
-            pulses, config.detection_prob, config.flip_prob, int(s_chan)
-        )
-        pending = np.concatenate((pending, records))
+        drawn, held = [pending], len(pending)
+        while held < batch_pulses and (budget is None or first_id + held // size <= budget):
+            s_prep, s_chan = seeds.spawn(1)[0].generate_state(2)
+            # spawn once per RNG batch keeps seeds independent and reproducible
+            pulses = prepare_pulses(batch_pulses, int(s_prep))
+            records = transmit_and_measure(
+                pulses, config.detection_prob, config.flip_prob, int(s_chan)
+            )
+            drawn.append(records)
+            held += len(records)
+        pending = np.concatenate(drawn)
         frames = assemble_frames(pending, config.n_quarter)
         pending = pending[frames.size :]
         yield frames if budget is None else frames[: budget - first_id]
@@ -373,7 +385,8 @@ def run_session(config: SessionConfig) -> dict:
     ``commit_all`` every such frame commits.  All other frames distill key
     into the two per-channel buffers by alternating allocation.
 
-    Each batch of frames is classified, sifted and distilled at once; only
+    Each protocol pass of :func:`frame_batches` is classified, sifted and
+    distilled at once, however many RNG batches its records came from; only
     eligible frames are visited one by one, since whether one commits
     depends on the key distilled before it, and each commit only spends
     pad.  The payloads are built, encrypted and decoded once over the
@@ -400,7 +413,7 @@ def run_session(config: SessionConfig) -> dict:
         "verdict": None,
     }
     records = []  # (frame_id, P0 key offset, P1 key offset)
-    committed = []  # each batch's rows of committing frames
+    committed = []  # each pass's rows of committing frames
 
     for frames in frame_batches(config, config.frame_budget):
         first_id = transcript["frames_total"]

@@ -172,16 +172,19 @@ def _counting(module, name, monkeypatch):
 
 class TestMatchesReference:
     """The array pipeline against the per-object loops it replaced, frame by
-    frame, across batch boundaries and the frame-budget cut."""
+    frame, across RNG-batch and pass boundaries and the frame-budget cut."""
 
     CONFIGS = [
-        # 10% detection: every batch ends mid-frame, records carry over
+        # 10% detection: every RNG batch ends mid-frame, records carry over
         (cp.SessionConfig(seed=5, detection_prob=0.1, flip_prob=0.05, q_tol=0.02), 600),
         # 512 frames per batch: 700 cuts the second batch, 1024 ends on a
         # batch boundary
         (cp.SessionConfig(seed=6, flip_prob=0.02, q_tol=0.01), 700),
         (cp.SessionConfig(seed=7), 1024),
         (cp.SessionConfig(seed=8, n_quarter=3, x=20, detection_prob=0.3), 300),
+        # 5% detection: a pass merges about 20 RNG batches; 1300 cuts the
+        # third pass
+        (cp.SessionConfig(seed=9, detection_prob=0.05), 1300),
     ]
 
     @pytest.mark.parametrize("config,budget", CONFIGS)
@@ -216,3 +219,33 @@ class TestMatchesReference:
         for _ in cp.frame_batches(config, budget):
             pass
         assert drawn == expected
+
+    @pytest.mark.parametrize("config,budget", CONFIGS)
+    def test_pass_holds_a_lossless_batch(self, config, budget, monkeypatch):
+        # a pass draws RNG batches until it holds batch_pulses records and
+        # frames all but fewer than 4N of them, so it ends up with fewer
+        # than batch_pulses records plus its last RNG batch's
+        drawn = _counting(cp, "prepare_pulses", monkeypatch)
+        detected = []
+        measure = cp.transmit_and_measure
+
+        def measured(*args):
+            records = measure(*args)
+            detected.append(len(records))
+            return records
+
+        monkeypatch.setattr(cp, "transmit_and_measure", measured)
+        framed = [frames.size for frames in cp.frame_batches(config, budget)]
+        batch_pulses = drawn[0][0]
+        assert min(framed[:-1], default=batch_pulses) >= batch_pulses - (4 * config.n_quarter - 1)
+        assert max(framed) < batch_pulses + max(detected)
+
+    @pytest.mark.parametrize("config,budget", [
+        *(c for c in CONFIGS if c[0].detection_prob == 1.0),
+        # 4096 records are not whole 12-record frames: leftovers carry over
+        (cp.SessionConfig(seed=7, n_quarter=3, x=20), 1000),
+    ])
+    def test_lossless_pass_per_rng_batch(self, config, budget, monkeypatch):
+        drawn = _counting(cp, "prepare_pulses", monkeypatch)
+        passes = list(cp.frame_batches(config, budget))
+        assert len(passes) == len(drawn) > 1

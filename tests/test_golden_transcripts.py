@@ -2,11 +2,12 @@
 
 The digests pin every byte of the transcript, so any change to the RNG
 draw order, the batching of pulses, the carry-over of detected records
-between batches, the frame-budget cut, the key ledger or the JSON encoding
-shows up here.  The configs cover both benchmark sessions, every payload
-mode and commit bit, tampering, other frame sizes, threshold skips,
-insufficient-key aborts and low-detection runs where records carry over
-between batches.  Regenerate a digest only for a change that alters
+between RNG batches and protocol passes, the frame-budget cut, the key
+ledger or the JSON encoding shows up here.  The configs cover both
+benchmark sessions, every payload mode and commit bit, tampering, other
+frame sizes, threshold skips, insufficient-key aborts and low-detection
+runs where one protocol pass merges many RNG batches, one of them with
+insufficient-key aborts.  Regenerate a digest only for a change that alters
 transcripts on purpose, and say so where the change is recorded.
 """
 
@@ -104,6 +105,13 @@ GOLDEN = {
         {"seed": 12, "frame_budget": 300, "n_tol": 3}, 0,
         "55fd8c23a7ea12eb42498e496f6ff4db48c6b12acf6914960f3a0acb7c0a8bc1",
     ),
+    # 24 RNG batches in two protocol passes, with 7 insufficient-key aborts
+    # and 40 threshold skips among them; computed with one pass per RNG batch
+    "lossy_key_aborts": (
+        {"seed": 13, "frame_budget": 600, "commit_all": True,
+         "detection_prob": 0.05, "flip_prob": 0.01, "q_tol": 0.045}, 0,
+        "7cc409e2dbed19a3a68c40e4afd9979d006fb33a7ec457d386ae5749accf3773",
+    ),
 }
 
 
@@ -130,6 +138,7 @@ REACHES = {
     "single_threshold": "threshold_skipped",
     "q_tol_insufficient": "insufficient_key_aborts",
     "frame_budget_1": "insufficient_key_aborts",
+    "lossy_key_aborts": "insufficient_key_aborts",
 }
 
 
