@@ -262,9 +262,10 @@ def _write_candidates(stream, candidates) -> None:
     sort_keys=True)`` lays it out, from the JSON text of each edge's
     serve probability and of each node name.
 
-    Routes are walked in creation order, keeping the text of the newest
-    route at each depth; each path is written after the routes created
-    before it was found, from the text of its end route."""
+    Routes are walked in creation order, keeping the edge-probability and
+    node pieces of the newest route at each depth; each path is written
+    after the routes created before it was found, from the pieces up to its
+    end route's depth."""
     if not len(candidates):
         stream.write("[]")
         return
@@ -276,34 +277,40 @@ def _write_candidates(stream, candidates) -> None:
         stream.write('[\n    {\n      "edge_probs": [],\n      "path": [\n        '
                      + source + "\n      ]\n    }\n  ]")
         return
+    # the pieces of the text: a path's opening, an edge's probability inside
+    # and at the end of its edge_probs, a node after the source, a path's close
+    opening = '\n    {\n      "edge_probs": [\n        '
     prob_text = [json.dumps(p) for p in candidates.serve]
-    tail = sep + node_text[candidates.destination] + "\n      ]\n    }"
-    # edge_probs and path texts of the newest route at each depth, open at
-    # the end
-    probs_at = ['"edge_probs": [\n        '] * len(candidates.levels)
+    inner_text, last_text = (
+        [p + s for p in prob_text] for s in (sep, '\n      ],\n      "path": [\n        '))
+    next_text = [sep + n for n in node_text]
+    close = next_text[candidates.destination] + "\n      ]\n    }"
+    lead = close + "," + opening
+    # a write holds about _CHUNK characters, however long the names are
+    per_write = max(1, _CHUNK // max(len(lead), *map(len, last_text + next_text)))
+    # the edge_probs and path pieces of the newest route at each depth
+    probs_at = ["[" + opening] * len(candidates.levels)
     nodes_at = [source] * len(candidates.levels)
     depth, node, edge = (
         a.tolist() for a in (candidates.depth, candidates.node, candidates.edge))
     created = 1
-    lead = "[\n    {\n      "
-    chunk, size = [], 0
+    chunk = []
     for end, last, mark in zip(*(
             a.tolist() for a in (candidates.end, candidates.last, candidates.mark))):
         for route in range(created, mark):
             d = depth[route]
-            probs_at[d] = probs_at[d - 1] + prob_text[edge[route]] + sep
-            nodes_at[d] = nodes_at[d - 1] + sep + node_text[node[route]]
+            probs_at[d] = inner_text[edge[route]]
+            nodes_at[d] = next_text[node[route]]
         created = mark
-        d = depth[end]
-        text = (lead + probs_at[d] + prob_text[last] + '\n      ],\n      "path": [\n        '
-                + nodes_at[d] + tail)
-        chunk.append(text)
-        size += len(text)
-        if size >= _CHUNK:
+        d = depth[end] + 1
+        chunk += probs_at[:d]
+        chunk.append(last_text[last])
+        chunk += nodes_at[:d]
+        if len(chunk) >= per_write:
             stream.write("".join(chunk))
-            chunk, size = [], 0
-        lead = ",\n    {\n      "
-    chunk.append("\n  ]")
+            chunk = []
+        probs_at[0] = lead  # ends this path and opens the next
+    chunk.append(close + "\n  ]")
     stream.write("".join(chunk))
 
 

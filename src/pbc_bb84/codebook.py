@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class Codebook:
     def capacity(self) -> int:
         return codebook_capacity(self.n_half)
 
+    @cached_property
+    def cutoff(self) -> np.ndarray | None:
+        """``unrank(N, x)``, unranked once; None if every balanced row is a codeword."""
+        return None if self.x == self.capacity() else np.array(unrank(self.n_half, self.x))
+
     def rank_bits(self) -> int:
         """Bits needed to address a codeword in compressed payloads."""
         return max(0, (self.x - 1).bit_length()) if self.x > 1 else 0
@@ -116,7 +122,7 @@ def is_codeword(cb: Codebook, rows: np.ndarray) -> np.ndarray:
     """Codeword mask over an ``(n, 2N)`` array of bits: a row is a codeword
     iff it is balanced and its rank is below the cutoff x.
 
-    A balanced row is a codeword iff it sorts before ``unrank(N, x)``, the
+    A balanced row is a codeword iff it sorts before ``cb.cutoff``, the
     first balanced sequence outside the codebook: at the first position
     where the two differ, the row holds the 0.
     """
@@ -124,9 +130,9 @@ def is_codeword(cb: Codebook, rows: np.ndarray) -> np.ndarray:
     if rows.shape[-1] != cb.length:
         raise ValueError(f"expected {cb.length} bits, got {rows.shape[-1]}")
     balanced = np.count_nonzero(rows, axis=1) == cb.n_half
-    if cb.x == cb.capacity():
+    bound = cb.cutoff
+    if bound is None:
         return balanced
-    bound = np.array(unrank(cb.n_half, cb.x))
     first = np.argmax(rows != bound, axis=1)
     return balanced & (rows[np.arange(len(rows)), first] < bound[first])
 

@@ -4,10 +4,10 @@ trusted relays P0 and P1.
 A session is a deterministic single-threaded loop over protocol passes,
 blocks of frames that hold about one lossless RNG batch's worth of
 detected records (see :func:`frame_batches`).  Normal frames distill
-one-time-pad key into two per-channel buffers, commitment frames (when
-their outcome substring is a codeword) send an OTP-encrypted payload to
-each relay, and after the waiting-time schedule elapses the relays
-cross-check and Bob verifies against his ground truth.
+one-time-pad key for P0 and P1, a ledger of two counters (:func:`try_commit`);
+commitment frames (whose outcome substring is a codeword) send an
+OTP-encrypted payload to each relay, and after the waiting-time schedule
+elapses the relays cross-check and Bob verifies against his ground truth.
 A frame is one row of ``bb84_frames.RECORD`` records from the channel to
 the verdict, and a basis an int code (0 rectilinear, committing bit 0; 1
 diagonal, committing bit 1); Bob verifies all of a session's commitments
@@ -62,9 +62,9 @@ COUNT_FIELDS = ("n_rect", "n_diag", "n_err_rect", "n_err_diag")
 #: simulator's speed they could not finish.
 MAX_PULSES = 2**30
 
-#: Largest accepted N.  The codeword test unranks the cutoff codeword once
-#: per protocol pass at a cost of 2N exact binomials, so one frame took
-#: 0.13 s at N = 1024, 3.6 s at 4096 and 23 s at 8192.
+#: Largest accepted N.  A session unranks the codebook's cutoff codeword
+#: once, at a cost of 2N exact binomials: 0.07 s at N = 1024 and 3.3 s at
+#: 4096 (2-vCPU Xeon, Python 3.11).
 MAX_N_QUARTER = 1024
 
 
@@ -77,34 +77,27 @@ class KeyBuffer:
     """
 
     def __init__(self):
-        self._chunks = [np.empty(0, np.int64)]
-        self._total = 0
+        self._bits = np.empty(0, np.int64)
         self._consumed = 0
 
     @property
     def total(self) -> int:
-        return self._total
+        return len(self._bits)
 
     @property
     def consumed(self) -> int:
         return self._consumed
 
-    @property
-    def available(self) -> int:
-        return self._total - self._consumed
-
     def extend(self, bits) -> None:
-        chunk = np.asarray(bits, dtype=np.int64) & 1
-        self._chunks.append(chunk)
-        self._total += len(chunk)
+        self._bits = np.concatenate((self._bits, np.asarray(bits, dtype=np.int64) & 1))
 
     def consume(self, length: int) -> int:
         """Spend the next ``length`` unspent bits; returns their offset."""
         if length < 0:
             raise ValueError("length must be non-negative")
-        if self.available < length:
+        if self.total - self._consumed < length:
             raise InsufficientKeyError(
-                f"need {length} key bits, only {self.available} available"
+                f"need {length} key bits, only {self.total - self._consumed} available"
             )
         offset = self._consumed
         self._consumed += length
@@ -114,11 +107,9 @@ class KeyBuffer:
         """Key bits ``[offset, offset + length)`` for each offset, one row
         each, without consuming them."""
         offsets = np.asarray(offsets, dtype=np.int64)
-        if offsets.size and (offsets.min() < 0 or offsets.max() + length > self._total):
+        if offsets.size and (offsets.min() < 0 or offsets.max() + length > self.total):
             raise ValueError("peek range outside buffer")
-        if len(self._chunks) > 1:
-            self._chunks = [np.concatenate(self._chunks)]
-        return self._chunks[0][offsets[:, None] + np.arange(length)]
+        return self._bits[offsets[:, None] + np.arange(length)]
 
 
 def otp_decrypt(
@@ -130,20 +121,32 @@ def otp_decrypt(
 
 
 def try_commit(
-    length: int, buffer_p0: KeyBuffer, buffer_p1: KeyBuffer
-) -> tuple[int, int]:
-    """Spend ``length`` bits of pad on each channel for one commitment;
-    returns the offsets of its pad on P0 and on P1.
+    eligible, countable, credits, dealt: int, made: int, length: int, commit_all: bool
+) -> tuple[list[int], int, int]:
+    """The key ledger's step for one protocol pass: which of its
+    ``eligible`` frames (indices, in order) commit, and how many are
+    threshold skips (not ``countable``) and insufficient-key aborts.
 
-    Key is checked on both channels before either buffer is touched, so a
-    failed attempt never half-consumes pad.
-    """
-    if buffer_p0.available < length or buffer_p1.available < length:
-        raise InsufficientKeyError(
-            f"commit needs {length} bits on each channel "
-            f"(available: {buffer_p0.available}/{buffer_p1.available})"
-        )
-    return buffer_p0.consume(length), buffer_p1.consume(length)
+    Every non-committing frame's ``credits`` (credited bits) are dealt to P0
+    and P1 in turn, so after ``t`` dealt bits P1 holds ``t // 2``, and
+    commitment k spends the pad at ``k * length`` on both.  ``dealt`` and
+    ``made`` count the bits and commitments before the pass; without
+    ``commit_all`` the session's first commitment ends the visit."""
+    before = np.cumsum(credits) - credits  # bits credited by earlier frames
+    picked, skipped, aborts = [], 0, 0
+    for i, ok, prior, bits in zip(eligible.tolist(), *(
+            a[eligible].tolist() for a in (countable, before, credits))):
+        if made and not commit_all:
+            break
+        if not ok:
+            skipped += 1
+        elif (dealt + prior) // 2 >= (made + 1) * length:
+            picked.append(i)
+            made += 1
+            dealt -= bits  # a committing frame's credits are never dealt
+        else:
+            aborts += 1
+    return picked, skipped, aborts
 
 
 def compute_verification_counts(
@@ -365,15 +368,6 @@ def commit_masks(
     return candidate, eligible, countable
 
 
-def _deal_key(bits: np.ndarray, buffers: dict, toggle: int) -> int:
-    """Hand key bits out alternately to P0 and P1, the first to the channel
-    ``toggle`` names; returns the toggle for the next bit."""
-    order = (CHANNEL_P0, CHANNEL_P1) if toggle == 0 else (CHANNEL_P1, CHANNEL_P0)
-    buffers[order[0]].extend(bits[0::2])
-    buffers[order[1]].extend(bits[1::2])
-    return toggle ^ (len(bits) & 1)
-
-
 def run_session(config: SessionConfig) -> dict:
     """Run one full session: preparation, commitment, unveiling, verdict.
 
@@ -382,21 +376,18 @@ def run_session(config: SessionConfig) -> dict:
 
     The first commit-eligible frame (candidate, codeword substring, count
     thresholds satisfiable, sufficient pad) carries the commitment; with
-    ``commit_all`` every such frame commits.  All other frames distill key
-    into the two per-channel buffers by alternating allocation.
+    ``commit_all`` every such frame commits.  All other frames distill key.
 
     Each protocol pass of :func:`frame_batches` is classified, sifted and
-    distilled at once, however many RNG batches its records came from; only
-    eligible frames are visited one by one, since whether one commits
-    depends on the key distilled before it, and each commit only spends
-    pad.  The payloads are built, encrypted and decoded once over the
-    session's committed rows, and Bob verifies every committed frame whose
-    relays agree in one call.
+    distilled at once, however many RNG batches its records came from, and
+    one :func:`try_commit` picks its commitments.  Each channel's
+    ``KeyBuffer`` is then extended once, with the even or odd dealt bits,
+    and consumed once for every pad.  The payloads are built, encrypted and
+    decoded once over the committed rows, and Bob verifies every committed
+    frame whose relays agree in one call.
     """
     cb = Codebook(config.n_quarter, config.x)
     rate = max(0.0, math_core.final_key_rate(config.q_tol))
-    buffers = {CHANNEL_P0: KeyBuffer(), CHANNEL_P1: KeyBuffer()}
-    toggle = 0
 
     length = payload_length(cb, config.payload_mode)
     transcript = {
@@ -412,46 +403,38 @@ def run_session(config: SessionConfig) -> dict:
         "status": "no_commit_frame",
         "verdict": None,
     }
-    records = []  # (frame_id, P0 key offset, P1 key offset)
+    frame_ids = []  # the committing frames, in order
     committed = []  # each pass's rows of committing frames
+    keys, dealt = [], 0  # each pass's dealt key bits, in frame order; their count
 
     for frames in frame_batches(config, config.frame_budget):
-        first_id = transcript["frames_total"]
         sifted = sift_records(frames)
         candidate, eligible, countable = commit_masks(frames, sifted, config, cb)
         credited = distill(sifted, rate)
-        key = frames["outcome"][credited]
-        # key[key_start[i]:key_start[i + 1]] are the bits frame i credits
-        key_start = [0, *np.cumsum(np.count_nonzero(credited, axis=1)).tolist()]
-        commits = np.zeros(len(frames), bool)
-        start = 0  # the first frame whose key is not dealt yet
-        for i in np.flatnonzero(eligible).tolist():
-            if records and not config.commit_all:
-                break
-            if not countable[i]:
-                transcript["threshold_skipped"] += 1
-                continue
-            toggle = _deal_key(key[key_start[start] : key_start[i]], buffers, toggle)
-            start = i
-            try:
-                offsets = try_commit(length, buffers[CHANNEL_P0], buffers[CHANNEL_P1])
-            except InsufficientKeyError:
-                transcript["insufficient_key_aborts"] += 1
-                continue
-            records.append((first_id + i, *offsets))
-            # a committing frame distills nothing
-            commits[i] = True
-            start = i + 1
-        toggle = _deal_key(key[key_start[start] :], buffers, toggle)
-        committed.append(frames[commits])
-        transcript["sifted_bits"] += int(np.count_nonzero(sifted[~commits]))
+        picked, skipped, aborts = try_commit(
+            np.flatnonzero(eligible), countable, np.count_nonzero(credited, axis=1),
+            dealt, len(frame_ids), length, config.commit_all,
+        )
+        # a committing frame's records are neither sifted bits nor key
+        sifted[picked] = credited[picked] = False
+        keys.append(frames["outcome"][credited])
+        dealt += len(keys[-1])
+        frame_ids += [transcript["frames_total"] + i for i in picked]
+        committed.append(frames[picked])
+        transcript["threshold_skipped"] += skipped
+        transcript["insufficient_key_aborts"] += aborts
+        transcript["sifted_bits"] += int(np.count_nonzero(sifted))
         transcript["frames_total"] += len(frames)
         transcript["candidate_frames"] += int(np.count_nonzero(candidate))
         transcript["eligible_frames"] += int(np.count_nonzero(eligible))
 
+    key = np.concatenate(keys)
+    buffers = {CHANNEL_P0: KeyBuffer(), CHANNEL_P1: KeyBuffer()}
+    buffers[CHANNEL_P0].extend(key[0::2])
+    buffers[CHANNEL_P1].extend(key[1::2])
+
     # Unveiling: waiting-time schedule, relay cross-check, Bob's verdict.
-    if records:
-        frame_ids, *offsets = zip(*records)
+    if frame_ids:
         waits = {CHANNEL_P0: config.wait_p0, CHANNEL_P1: config.wait_p1}
         transcript["schedule"] = {
             "waits": waits,
@@ -464,6 +447,9 @@ def run_session(config: SessionConfig) -> dict:
         rows = np.concatenate(committed)
         substrings = _commit_substrings(rows, config.commit_bit)
         payloads = payload_bits(cb, substrings, config.commit_bit, config.payload_mode)
+        # the session's pads in one consume per channel, commitment k's at k * L
+        spend = len(frame_ids) * length
+        offsets = [range(b.consume(spend), spend, length) for b in buffers.values()]
         pads = list(zip(buffers.values(), offsets))
         # Alice's ciphertexts, one per relay; a tamper flips a bit of the
         # first commitment's P1 copy

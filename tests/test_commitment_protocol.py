@@ -4,10 +4,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import codebook_reference
 import frame_reference as ref
-from pbc_bb84.bb84_frames import RECORD, FrameClass, sift_records
+import ledger_reference
+from pbc_bb84 import codebook, math_core
+from pbc_bb84.bb84_frames import RECORD, FrameClass, distill, sift_records
 from pbc_bb84.codebook import Codebook, MODE_COMPRESSED
 from pbc_bb84 import commitment_protocol as proto
 from pbc_bb84.commitment_protocol import (
@@ -57,8 +60,9 @@ class TestKeyBuffer:
     def test_fifo_offsets(self):
         buf = make_buffer([1, 0, 1, 1, 0, 0, 1, 0])
         assert (buf.consume(4), buf.consume(4)) == (0, 4)
-        assert buf.available == 0
         assert buf.consume(0) == 8
+        with pytest.raises(InsufficientKeyError):
+            buf.consume(1)
 
     def test_zero_key(self):
         buf = make_buffer([0, 0, 0, 0])
@@ -78,7 +82,7 @@ class TestKeyBuffer:
         with pytest.raises(InsufficientKeyError):
             buf.consume(3)
         assert buf.consumed == 0
-        assert buf.available == 2
+        assert buf.consume(2) == 0
 
     def test_peek_does_not_consume(self):
         buf = make_buffer([1, 0, 1])
@@ -90,18 +94,146 @@ class TestKeyBuffer:
                 buf.peek(offsets, length)
 
 
+def ledger_step(credits, eligible, countable=None, dealt=0, made=0, length=4,
+                commit_all=True):
+    """``try_commit`` on one pass given as lists: each frame's credited
+    bits, and the indices of its eligible and (by default all) countable
+    frames."""
+    mask = np.zeros(len(credits), bool)
+    mask[range(len(credits)) if countable is None else countable] = True
+    return try_commit(np.array(eligible, np.intp), mask, np.array(credits),
+                      dealt, made, length, commit_all)
+
+
 class TestTryCommit:
     def test_commit_produced(self):
-        b0, b1 = make_buffer([0] * 16), make_buffer([1] * 16)
-        assert try_commit(4, b0, b1) == (0, 0)
-        assert try_commit(4, b0, b1) == (4, 4)
-        assert b0.consumed == b1.consumed == 8
+        # 8 bits dealt before frame 1 leave P1 4, one pad of 4; frame 1
+        # credits nothing, so frame 3 finds P1 holding 8, two pads
+        assert ledger_step([8, 0, 8, 0], [1, 3]) == ([1, 3], 0, 0)
+        # the committing frames' own credits are never dealt
+        assert ledger_step([8, 5, 3, 0], [1, 3]) == ([1], 0, 1)
+        # dealt bits and commitments carry in from earlier passes
+        assert ledger_step([0, 0], [0], dealt=16, made=1) == ([0], 0, 0)
+        assert ledger_step([0, 0], [0], dealt=15, made=1) == ([], 0, 1)
 
     def test_insufficient_key_leaves_both_buffers(self):
-        b0, b1 = make_buffer([0] * 16), make_buffer([1] * 2)
-        with pytest.raises(InsufficientKeyError):
-            try_commit(4, b0, b1)
-        assert b0.consumed == 0 and b1.consumed == 0
+        # 2L - 1 = 7 dealt bits give P0 4 and P1 3: the attempt aborts and
+        # spends nothing, so one more bit (the aborted frame's own) lets
+        # the next eligible frame commit with the first pad
+        assert ledger_step([7, 1, 0, 0], [1, 3]) == ([3], 0, 1)
+        assert ledger_step([7, 0, 0, 0], [1, 3]) == ([], 0, 2)
+
+    def test_threshold_skips_and_first_commitment(self):
+        # a frame that is not countable is skipped, whatever the key
+        assert ledger_step([8, 0, 0, 8, 0], [1, 2, 4], countable=[0, 2, 3]) == ([2], 2, 0)
+        # without commit_all the first commitment ends the visit, and a
+        # later pass counts nothing
+        assert ledger_step([9, 0, 0, 0], [1, 2, 3], countable=[1, 3],
+                           commit_all=False) == ([1], 0, 0)
+        assert ledger_step([9, 0], [0, 1], made=1, commit_all=False) == ([], 0, 0)
+
+
+def counter_ledger(passes, length, commit_all):
+    """The counter ledger over the passes of ``ledger_reference.run_ledger``,
+    the way ``run_session`` keeps it: one ``try_commit`` per pass, then one
+    ``extend`` per channel and one ``consume`` of every pad."""
+    frame_ids, keys, dealt, skipped, aborts, first_id = [], [], 0, 0, 0, 0
+    for outcome, credited, eligible, countable in passes:
+        picked, s, a = try_commit(
+            np.flatnonzero(eligible), countable, np.count_nonzero(credited, axis=1),
+            dealt, len(frame_ids), length, commit_all,
+        )
+        commits = np.zeros(len(outcome), bool)
+        commits[picked] = True
+        keys.append(outcome[credited & ~commits[:, None]])
+        dealt += len(keys[-1])
+        frame_ids += [first_id + i for i in picked]
+        skipped, aborts, first_id = skipped + s, aborts + a, first_id + len(outcome)
+    key = np.concatenate(keys)
+    buffers = (KeyBuffer(), KeyBuffer())
+    spend = len(frame_ids) * length
+    records = []
+    for buffer, bits in zip(buffers, (key[0::2], key[1::2])):
+        buffer.extend(bits)
+        records.append(range(buffer.consume(spend), spend, length))
+    return list(zip(frame_ids, *records)), skipped, aborts, buffers
+
+
+def assert_same_ledger(ours, theirs, length):
+    records, skipped, aborts, buffers = ours
+    ref_records, ref_skipped, ref_aborts, ref_buffers = theirs
+    assert records == ref_records
+    assert (skipped, aborts) == (ref_skipped, ref_aborts)
+    for channel, (buffer, ref_buffer) in enumerate(zip(buffers, ref_buffers.values())):
+        assert (buffer.total, buffer.consumed) == (ref_buffer.total, ref_buffer.consumed)
+        offsets = [record[1 + channel] for record in records]
+        assert buffer.peek(offsets, length).tolist() == ref_buffer.peek(offsets, length).tolist()
+
+
+@st.composite
+def ledger_passes(draw):
+    """Passes of frames with random outcomes, credited bits (odd counts
+    included), eligible frames and countable gaps."""
+    width = draw(st.integers(1, 6))
+    passes = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 12))
+        bits = st.lists(st.booleans(), min_size=n * width, max_size=n * width)
+        outcome = np.array(draw(bits), np.int8).reshape(n, width)
+        credited = np.array(draw(bits), bool).reshape(n, width)
+        masks = st.lists(st.booleans(), min_size=n, max_size=n)
+        passes.append((outcome, credited, np.array(draw(masks), bool),
+                       np.array(draw(masks), bool)))
+    return passes
+
+
+class TestMatchesLedgerReference:
+    """The counter ledger against the per-commit one it replaced
+    (``tests/ledger_reference.py``): the same commitments, offsets, pads,
+    skips, aborts and key ledger."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_passes(), st.integers(1, 5), st.booleans())
+    def test_random_passes(self, passes, length, commit_all):
+        assert_same_ledger(
+            counter_ledger(passes, length, commit_all),
+            ledger_reference.run_ledger(passes, length, commit_all),
+            length,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        detection_prob=st.sampled_from([1.0, 0.3, 0.05]),
+        flip_prob=st.sampled_from([0.0, 0.02]),
+        q_tol=st.sampled_from([0.0, 0.03, 0.06]),
+        n_tol=st.integers(1, 3),
+        commit_all=st.booleans(),
+        frame_budget=st.integers(1, 700),
+    )
+    def test_sessions(self, **fields):
+        config = SessionConfig(**fields)
+        rate = max(0.0, math_core.final_key_rate(config.q_tol))
+        cb = Codebook(config.n_quarter, config.x)
+        passes = []
+        for frames in proto.frame_batches(config, config.frame_budget):
+            sifted = sift_records(frames)
+            _, eligible, countable = proto.commit_masks(frames, sifted, config, cb)
+            passes.append((frames["outcome"], distill(sifted, rate), eligible, countable))
+        length = proto.payload_length(cb, config.payload_mode)
+        records, skipped, aborts, buffers = ledger_reference.run_ledger(
+            passes, length, config.commit_all)
+
+        transcript = run_session(config)
+        assert [
+            (c["frame_id"], *(m["key_offset"] for m in c["messages"]))
+            for c in transcript["commitments"]
+        ] == records
+        assert transcript["threshold_skipped"] == skipped
+        assert transcript["insufficient_key_aborts"] == aborts
+        assert transcript["key_ledger"] == {
+            ch: {"generated": b.total, "consumed": b.consumed} for ch, b in buffers.items()
+        }
 
 
 class TestCommitMaskFrames:
@@ -328,6 +460,15 @@ class TestRunSession:
                 if m["channel"] == channel
             ]
             assert offsets == [payload_len * i for i in range(len(offsets))]
+
+    def test_cutoff_unranked_once(self, monkeypatch):
+        calls = []
+        unrank = codebook.unrank
+        monkeypatch.setattr(codebook, "unrank", lambda *args: calls.append(args) or unrank(*args))
+        config = SessionConfig(x=5, frame_budget=3000, commit_all=True)
+        assert len(list(proto.frame_batches(config, config.frame_budget))) > 1
+        assert len(run_session(config)["commitments"]) > 1
+        assert calls == [(2, 5)]
 
     def test_schedule_invariant(self):
         transcript = run_session(

@@ -11,6 +11,7 @@ alpha, and the same report text.
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,3 +145,21 @@ def test_report_written_in_bounded_chunks(mode, tmp_path, monkeypatch):
     assert len(report) > 5_000_000
     assert "".join(stream.parts) == report
     assert max(stream.sizes) <= 2**20
+
+
+def test_candidates_text_grows_with_depth():
+    # one path through 2,000 nodes: the text held grows with the depth; a
+    # whole prefix text per depth, the square of it, holds about 56 MiB
+    nodes = [f"n{i}" for i in range(2000)]
+    graph = rr.NetworkGraph(nodes, [(a, b, 10) for a, b in zip(nodes, nodes[1:])])
+    trie = rr.flood_discover(graph, rr.TrafficSpec(nodes[0], nodes[-1], 1, 1))
+    stream = WriteSizes()
+    tracemalloc.start()
+    try:
+        cli._write_candidates(stream, trie)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    written = json.loads("".join(stream.parts))
+    assert [c["path"] for c in written] == [nodes]
