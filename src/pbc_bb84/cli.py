@@ -7,7 +7,9 @@ function of (arguments, seed); CSV column order is fixed and JSON is
 emitted with sorted keys so reruns are byte-identical.  Each JSON output
 is the text ``json.dump(..., indent=2, sort_keys=True)`` would write, but
 its long array, the transcript's ``commitments`` or the report's
-``candidates``, is written from text templates into its slot, in chunks.
+``candidates``, is written into its slot from text pieces, in bounded
+writes: the commitments from templates, the candidates one block of
+paths at a time, gathered with numpy.
 
 Exit codes: 0 success / Accept, 2 Reject, 3 NoCommitFrame, 64 usage
 error, an unwritable output included.  ``PBC_BB84_OUTPUT_DIR``
@@ -23,6 +25,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import math_core, relay_routing
 from .commitment_protocol import SessionConfig, run_session
@@ -262,10 +266,17 @@ def _write_candidates(stream, candidates) -> None:
     sort_keys=True)`` lays it out, from the JSON text of each edge's
     serve probability and of each node name.
 
-    Routes are walked in creation order, keeping the edge-probability and
-    node pieces of the newest route at each depth; each path is written
-    after the routes created before it was found, from the pieces up to its
-    end route's depth."""
+    Paths are written one block at a time.  A block's (paths x depth)
+    matrix of routes is built by walking up ``parent`` from the paths' end
+    routes, one numpy step per depth; a shallower path's row is padded on
+    the left with route 0, the source alone.  Each row maps to ids of text
+    pieces: the path's opening, the edge pieces of its routes, its last
+    edge's, the source, then the node pieces of its routes, route 0's
+    being ``""``.  The block's text is those pieces gathered and joined, in
+    one write.  A block holds as many paths as ``16 * _CHUNK`` (2**20)
+    characters hold at the longest piece and the deepest path's piece
+    count, and at least one, so only a path longer than that by itself
+    makes a longer write."""
     if not len(candidates):
         stream.write("[]")
         return
@@ -285,33 +296,45 @@ def _write_candidates(stream, candidates) -> None:
         [p + s for p in prob_text] for s in (sep, '\n      ],\n      "path": [\n        '))
     next_text = [sep + n for n in node_text]
     close = next_text[candidates.destination] + "\n      ]\n    }"
-    lead = close + "," + opening
-    # a write holds about _CHUNK characters, however long the names are
-    per_write = max(1, _CHUNK // max(len(lead), *map(len, last_text + next_text)))
-    # the edge_probs and path pieces of the newest route at each depth
-    probs_at = ["[" + opening] * len(candidates.levels)
-    nodes_at = [source] * len(candidates.levels)
-    depth, node, edge = (
-        a.tolist() for a in (candidates.depth, candidates.node, candidates.edge))
-    created = 1
-    chunk = []
-    for end, last, mark in zip(*(
-            a.tolist() for a in (candidates.end, candidates.last, candidates.mark))):
-        for route in range(created, mark):
-            d = depth[route]
-            probs_at[d] = inner_text[edge[route]]
-            nodes_at[d] = next_text[node[route]]
-        created = mark
-        d = depth[end] + 1
-        chunk += probs_at[:d]
-        chunk.append(last_text[last])
-        chunk += nodes_at[:d]
-        if len(chunk) >= per_write:
-            stream.write("".join(chunk))
-            chunk = []
-        probs_at[0] = lead  # ends this path and opens the next
-    chunk.append(close + "\n  ]")
-    stream.write("".join(chunk))
+    lead = close + "," + opening  # ends a path and opens the next
+    # piece ids: 0 "", 1 the first opening, 2 lead, 3 the source, then the
+    # edges' inner and last texts and the nodes' next texts
+    pieces = np.array(["", "[" + opening, lead, source,
+                       *inner_text, *last_text, *next_text], dtype=object)
+    inner, last, after = 4, 4 + len(prob_text), 4 + 2 * len(prob_text)
+    # each route's edge and node piece ids; route 0, the source alone, has
+    # neither and is its own parent, so a walk up stays there
+    edge_ids, node_ids = candidates.edge + inner, candidates.node + after
+    up = candidates.parent.copy()
+    edge_ids[0] = node_ids[0] = up[0] = 0
+    deepest = int(candidates.depth[candidates.end].max())
+    # a path of d + 1 edges is 2d + 3 pieces, so a write stays under 2**20
+    # characters however long the names are; blocks of _CHUNK characters,
+    # about 60 K9 paths, would make 16 times the numpy calls
+    longest = max(map(len, pieces))
+    per_block = max(1, 16 * _CHUNK // (longest * (2 * deepest + 3)))
+    opened = 1
+    for start in range(0, len(candidates), per_block):
+        block = slice(start, start + per_block)
+        ends = candidates.end[block]
+        # a path of one edge ends at route 0: keep one column for it
+        deep = max(1, int(candidates.depth[ends].max()))
+        # right-aligned: the last column holds each path's end route and
+        # each other column the parent of the route to its right
+        routes = np.empty((len(ends), deep), np.intp)
+        route = routes[:, -1] = ends
+        for d in range(deep - 2, -1, -1):
+            route = routes[:, d] = up[route]
+        ids = np.empty((len(ends), 2 * deep + 3), np.intp)
+        ids[:, 0] = 2
+        ids[0, 0] = opened
+        ids[:, 1:deep + 1] = edge_ids[routes]
+        ids[:, deep + 1] = candidates.last[block] + last
+        ids[:, deep + 2] = 3
+        ids[:, deep + 3:] = node_ids[routes]
+        stream.write("".join(pieces[ids.ravel()].tolist()))
+        opened = 2
+    stream.write(close + "\n  ]")
 
 
 def _alpha(text: str) -> float:

@@ -77,7 +77,7 @@ class KeyBuffer:
     """
 
     def __init__(self):
-        self._bits = np.empty(0, np.int64)
+        self._bits = np.empty(0, np.int8)  # one byte per key bit
         self._consumed = 0
 
     @property
@@ -89,7 +89,7 @@ class KeyBuffer:
         return self._consumed
 
     def extend(self, bits) -> None:
-        self._bits = np.concatenate((self._bits, np.asarray(bits, dtype=np.int64) & 1))
+        self._bits = np.concatenate((self._bits, (np.asarray(bits) & 1).astype(np.int8)))
 
     def consume(self, length: int) -> int:
         """Spend the next ``length`` unspent bits; returns their offset."""

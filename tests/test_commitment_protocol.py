@@ -84,6 +84,14 @@ class TestKeyBuffer:
         assert buf.consumed == 0
         assert buf.consume(2) == 0
 
+    def test_one_byte_per_bit(self):
+        buf = KeyBuffer()
+        buf.extend(np.array([3, 0, 1, 2, 1], dtype=np.int64))
+        buf.extend(np.array([1, 1, 0], dtype=np.int8))
+        assert buf.total == 8
+        assert buf._bits.nbytes == 8
+        assert buf.peek([0], 8).tolist() == [[1, 0, 1, 0, 1, 1, 1, 0]]
+
     def test_peek_does_not_consume(self):
         buf = make_buffer([1, 0, 1])
         assert buf.peek([0], 3).tolist() == [[1, 0, 1]]

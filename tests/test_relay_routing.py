@@ -57,7 +57,7 @@ def table(*paths):
             routes += (route, names.index(node), len(serve), depth)
             route = len(routes) // 4 - 1
             serve.append(p)
-        found += (route, len(serve), len(routes) // 4)
+        found += (route, len(serve))
         serve.append(probs[-1])
     destination = names.index(ends.pop()) if ends else 0
     return rr.Candidates(names, destination, routes, found, serve)

@@ -41,6 +41,22 @@ def benchmark_instance(seed):
     return rr.NetworkGraph.from_json(doc), rr.TrafficSpec.from_json(doc["traffic"])
 
 
+def grid_instance(width, height):
+    # corner to corner: 5,382 paths of up to 22 edges on a 4 x 6 grid
+    names = [[f"g{r}_{c}" for c in range(width)] for r in range(height)]
+    edges = [(row[c], row[c + 1], 50) for row in names for c in range(width - 1)]
+    edges += [(a, b, 50) for upper, lower in zip(names, names[1:])
+              for a, b in zip(upper, lower)]
+    nodes = [n for row in names for n in row]
+    return rr.NetworkGraph(nodes, edges), rr.TrafficSpec(nodes[0], nodes[-1], 1, 1)
+
+
+def chain_instance(n):
+    nodes = [f"n{i}" for i in range(n)]
+    graph = rr.NetworkGraph(nodes, [(a, b, 10) for a, b in zip(nodes, nodes[1:])])
+    return graph, rr.TrafficSpec(nodes[0], nodes[-1], 1, 1)
+
+
 def self_instance():
     graph, nodes = complete_graph(3)
     return graph, rr.TrafficSpec(nodes[1], nodes[1], 1, 1)
@@ -53,11 +69,23 @@ def unreachable_instance():
 
 INSTANCES = {
     **{f"random{s}": (lambda s=s: random_instance(s)) for s in range(100)},
-    **{f"K{n}": (lambda n=n: complete_instance(n)) for n in range(2, 8)},
+    # K8's 1,957 paths are a block of the writer's and part of another
+    **{f"K{n}": (lambda n=n: complete_instance(n)) for n in range(2, 9)},
     **{f"k9_seed{s}": (lambda s=s: benchmark_instance(s)) for s in range(3)},
+    "grid4x6": lambda: grid_instance(4, 6),
+    "chain300": lambda: chain_instance(300),
     "self": self_instance,
     "unreachable": unreachable_instance,
 }
+
+
+def first_difference(ours, theirs):
+    """Where two texts first differ, or None where they are equal: pytest
+    takes minutes to show the difference of two megabyte texts."""
+    if ours == theirs:
+        return None
+    return next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b),
+                min(len(ours), len(theirs)))
 
 
 def scored(select, *args):
@@ -88,7 +116,15 @@ def test_trie_matches_reference(name):
     ours, theirs = io.StringIO(), io.StringIO()
     cli._write_candidates(ours, trie)
     ref.write_candidates(theirs, paths, edges, serve, graph.nodes)
-    assert ours.getvalue() == theirs.getvalue()
+    assert first_difference(ours.getvalue(), theirs.getvalue()) is None
+
+
+def test_instances_reach_block_edges_and_deep_tries():
+    # the path count and the most edges on a path of each
+    for name, shape in (("K8", (1957, 7)), ("grid4x6", (5382, 22)),
+                        ("chain300", (1, 299))):
+        trie = rr.flood_discover(*INSTANCES[name]())
+        assert (len(trie), int(trie.depth[trie.end].max()) + 1) == shape
 
 
 def compensated_sum(values):
@@ -130,6 +166,22 @@ class WriteSizes:
     def write(self, text):
         self.parts.append(text)
         self.sizes.append(len(text))
+
+
+def test_long_names_written_in_bounded_chunks():
+    # K6 with 20,000-character names: 65 paths of 40,000 to 120,000
+    # characters, 6.5 MB, so a block of a fixed number of paths would make
+    # one write of it
+    nodes = [f"{i}".ljust(20_000, "x") for i in range(6)]
+    edges = [(a, b, 100) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    graph = rr.NetworkGraph(nodes, edges)
+    traffic = rr.TrafficSpec(nodes[0], nodes[-1], 1, 1)
+    stream, theirs = WriteSizes(), io.StringIO()
+    cli._write_candidates(stream, rr.flood_discover(graph, traffic))
+    ref.write_candidates(theirs, *ref.flood_discover(graph, traffic), graph.nodes)
+    assert first_difference("".join(stream.parts), theirs.getvalue()) is None
+    assert len(theirs.getvalue()) > 6 * 2**20
+    assert max(stream.sizes) <= 2**20
 
 
 @pytest.mark.parametrize("mode", ["vc", "datagram"])
