@@ -5,9 +5,9 @@ offered load; flooding discovery enumerates every simple path, up to
 ``MAX_PATHS``, as the trie of routes its search extended, over a per-edge
 table; datagram selection maximizes the product of edge probabilities;
 virtual-circuit selection trades that product against hop count and then
-pins the chosen path with per-relay commitment handles.  Edge loads and
-scores are folded along the trie with numpy, so no object is made per
-path.
+pins the chosen path with per-relay commitment handles.  The search,
+edge loads, path order and scores are numpy operations over whole levels
+of the trie, so no object is made per route or per path.
 """
 
 from __future__ import annotations
@@ -127,37 +127,29 @@ class Candidates:
     paths are numbered in lexicographic order of their node names.  The
     path from a node to itself is route 0 with ``last`` -1.  ``serve[e]``
     is edge e's serve probability under the discovery's load, or None where
-    no path crosses e.  ``levels[d]`` lists the routes at depth d in
-    creation order.
+    no path crosses e.
     """
 
     # a plain class: a dataclass would add about a millisecond to every
     # import of the CLI
     __slots__ = (
         "names", "destination", "parent", "node", "edge", "depth",
-        "end", "last", "serve", "levels",
+        "end", "last", "serve",
     )
 
     def __init__(
         self,
         names: tuple[str, ...],
         destination: int,
-        routes: list[int],
-        paths: list[int],
+        routes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        paths: tuple[np.ndarray, np.ndarray],
         serve: list[float | None],
     ):
-        """``routes`` holds (parent, node, edge, depth) of each route in
-        turn and ``paths`` (end, last) of each path, as flat lists of ints,
-        which ``np.fromiter`` reads with a known count: at K9's 54,800
-        route ints that takes 0.95-1.0 ms against 1.1-1.9 ms for
-        ``np.array``, and 3.8 ms for a list of tuples."""
+        """``routes`` holds the (parent, node, edge, depth) arrays of the
+        routes and ``paths`` the (end, last) arrays of the paths."""
         self.names, self.destination, self.serve = names, destination, serve
-        self.parent, self.node, self.edge, self.depth = np.fromiter(
-            routes, dtype=np.intp, count=len(routes)).reshape(-1, 4).T
-        self.end, self.last = np.fromiter(
-            paths, dtype=np.intp, count=len(paths)).reshape(-1, 2).T
-        order = np.argsort(self.depth, kind="stable")
-        self.levels = np.split(order, np.cumsum(np.bincount(self.depth))[:-1])
+        self.parent, self.node, self.edge, self.depth = routes
+        self.end, self.last = paths
 
     def __len__(self) -> int:
         return len(self.end)
@@ -195,9 +187,11 @@ class Candidates:
         # an edge no path crosses has no value; only routes that lead to
         # no path read it
         values = np.array([math.nan if v is None else v for v in values])
+        order = np.argsort(self.depth, kind="stable")
+        levels = np.split(order, np.cumsum(np.bincount(self.depth))[:-1])
         acc = np.empty(len(self.parent))
         acc[0] = start
-        for level in self.levels[1:]:
+        for level in levels[1:]:
             acc[level] = ufunc(acc[self.parent[level]], values[self.edge[level]])
         return ufunc(acc[self.end], values[self.last])
 
@@ -217,26 +211,286 @@ def serve_probability(buffer_bits: int, n_packets: int, packet_len: int) -> floa
     return 1.0
 
 
-def _reachable(graph: NetworkGraph, node: str) -> set[str]:
-    """Every node joined to ``node`` by some path."""
-    reach, todo = {node}, [node]
-    while todo:
-        for nxt, _ in graph.adj[todo.pop()]:
-            if nxt not in reach:
-                reach.add(nxt)
-                todo.append(nxt)
-    return reach
+#: Most (route, neighbour) pairs one step of the search tests at once: a
+#: larger frontier is taken a chunk of routes at a time, so a step's arrays
+#: stay bounded and a refusal comes before an array is sized by what it
+#: refuses.
+_PAIRS = 2**14
+
+
+def _blocks(adj: list, s: int, d: int):
+    """The graph as the search steps over it, or None where ``d`` cannot be
+    reached from ``s``.
+
+    The core is the 2-core (s and d kept in it) with its loops peeled off:
+    a loop is a corridor, a path through nodes of two neighbours, whose two
+    ends are one node, and peeling it can leave new trees.  Branch nodes
+    are s, d and each core node with other than two neighbours in the core;
+    they get labels 0, 1, ... in breadth-first order from s.  The other
+    nodes are passive: the trees and loops peeled off, and the corridor
+    nodes of the core.  The routes a search makes from a branch node
+    through passive nodes depend only on the edge it leaves by, so each
+    edge out of a branch node other than d, a slot, gets a block: those
+    routes, then the one branch node they reach, the exit, if any.  An edge
+    to a branch node is a block of no routes with that node as its exit.
+    Loops are peeled once, so a passive node has at most four table rows.
+
+    Returns arrays: by label, each node's first slot, its slot count and
+    the last mask word it or its exits need; by slot, its edge, its exit's
+    kind (0 none, 1 a branch node, 2 d), its route count, its first table
+    row, its exit's row, and its exit's label and mask word; by slot, the
+    mask bit of that label; and the table, slot by slot, whose five rows
+    hold each block route's distance back to its parent in the block (0 for
+    the route the block leaves), node, edge, depth below that route, and
+    whether it lies on the way to the exit, then the same for the exit.
+    """
+    n = len(adj)
+    order, seen = [s], bytearray(n)
+    seen[s] = 1
+    for u in order:
+        for v, _ in adj[u]:
+            if not seen[v]:
+                seen[v] = 1
+                order.append(v)
+    if not seen[d]:
+        return None
+    # peel the trees, then the loops, then the trees their peeling left:
+    # up[u] is the node a peeled node hangs from, loop[u] whether it is on
+    # a loop; degree counts the neighbours not peeled
+    degree = [len(nbrs) for nbrs in adj]
+    up, loop = [-1] * n, bytearray(n)
+
+    def peel(todo):
+        while todo:
+            u = todo.pop()
+            v = up[u] = next(v for v, _ in adj[u] if up[v] < 0)
+            degree[v] -= 1
+            if degree[v] == 1 and v != s and v != d:
+                todo.append(v)
+
+    peel([u for u in order if degree[u] == 1 and u != s and u != d])
+    # a loop is a corridor whose two ends are the same node: a search that
+    # enters it comes back to that node and ends, so it is peeled off it
+    middle = bytearray(n)  # a corridor node, neither of its ends
+    for u in order:
+        middle[u] = up[u] < 0 and degree[u] == 2 and u != s and u != d
+    walked, todo = bytearray(n), []
+    for u in order:
+        if not middle[u] or walked[u]:
+            continue
+        walked[u], way, tips = 1, [u], []
+        for v in [v for v, _ in adj[u] if up[v] < 0]:
+            prev = u
+            while middle[v]:
+                walked[v] = 1
+                way.append(v)
+                prev, v = v, next(w for w, _ in adj[v] if up[w] < 0 and w != prev)
+            tips.append(v)
+        r = tips[0]
+        if r == tips[1]:
+            for v in way:
+                up[v], loop[v] = r, 1
+            degree[r] -= 2
+            if degree[r] == 1 and r != s and r != d:
+                todo.append(r)
+    peel(todo)
+    branch = [u for u in order if up[u] < 0 and (degree[u] != 2 or u in (s, d))]
+    label = [-1] * n
+    for i, u in enumerate(branch):
+        label[u] = i
+    # each slot's neighbour and edge, label by label; d has no slots, since
+    # a search ends there
+    count = [0 if u == d else len(adj[u]) for u in branch]
+    pairs = [pair for u in branch if u != d for pair in adj[u]]
+    nbr, edge = np.array(pairs, np.int32).T
+    xlab = np.array(label, np.int32)[nbr]
+    size = np.zeros(len(pairs), np.int32)
+    # the blocks of the slots to passive nodes, walked: their rows, then
+    # each one's exit row and exit label
+    rows, exits, passive = [], [], np.flatnonzero(xlab < 0)
+    for p in passive.tolist():
+        begin, exit = len(rows) // 5, (-1, 0, 0, 0, 0, -1)
+        stack = [(*pairs[p], -1, 1)]  # node, edge, parent's row, depth
+        while stack:
+            v, e, parent, depth = stack.pop()  # parent -1: the slot's node
+            if label[v] >= 0:
+                exit = (parent, v, e, depth, 1, label[v])
+                continue
+            row, corridor = len(rows) // 5, up[v] < 0
+            rows += (row - parent if parent >= 0 else 0, v, e, depth, corridor)
+            # a node's trees and loops, and, on a corridor or a loop, the
+            # next node of it (a tree node has no such neighbour; the last
+            # node of a loop has its root, which hangs from no node on it)
+            stack += [(w, f, row, depth + 1) for w, f in adj[v] if up[w] == v
+                      or f != e and up[w] == up[v] and loop[w] == loop[v]]
+        size[p] = row = len(rows) // 5 - begin
+        parent = exit[0]
+        exits += (row + begin - parent if parent >= 0 else 0, *exit[1:])
+    xat = (size + 1).cumsum() - 1
+    table = np.zeros((5, xat[-1] + 1), np.int32)
+    table[1, xat], table[2, xat], table[3:, xat] = nbr, edge, 1
+    if rows:
+        exits = np.array(exits, np.int32).reshape(-1, 6).T
+        table[:, xat[passive]] = exits[:5]
+        xlab[passive] = exits[5]
+        inner = np.ones(len(table[0]), bool)
+        inner[xat] = False
+        table[:, inner] = np.array(rows, np.int32).reshape(-1, 5).T
+    has_exit = xlab >= 0
+    labels = np.arange(len(branch))
+    words = labels >> 6
+    np.maximum.at(words, labels.repeat(count), np.maximum(xlab, 0) >> 6)
+    count = np.array(count)
+    return (
+        (count.cumsum() - count, count, words),
+        (edge, has_exit.astype(np.int32) + (xlab == label[d]), size, xat - size, xat,
+         xlab, np.maximum(xlab, 0) >> 6),
+        np.left_shift(has_exit.astype(np.uint64), (xlab & 63).astype(np.uint64)),
+        table,
+    )
+
+
+def _search(blocks, s: int, edges: int, src: str, dst: str):
+    """Every route from ``s`` and every path on to d, one step per branch
+    node on them, and each edge's load: routes as (parent, node, edge,
+    depth) arrays, paths as (end, last) arrays in lexicographic order."""
+    (first_slot, slot_count, words), slots, xbit, table = blocks
+    slot_edge, xkind, size, start, xat, xlab, xword = slots
+    back, node, edge, depth, chain = table
+    # the frontier, the routes at branch nodes, each with its id, label,
+    # edge it came by, depth and visited labels as a bitmask of mask words
+    rid = lab = dep = np.zeros(1, np.int32)
+    came = np.full(1, -1, np.int32)
+    masks = np.zeros((1, words[0] + 1), np.uint64)
+    masks[0, 0] = 1
+    created, found, branched, lo = 1, 0, 1, 0  # routes, paths, frontier ids
+    parts = []  # each chunk's routes
+    book = []  # each chunk's frontier ids and pairs, for the ranking
+    while len(rid):
+        nxt, first_id, width = [], branched, masks.shape[1]
+        degree = slot_count[lab]
+        total = degree.cumsum()
+        begin = total - degree
+        cuts = [0]
+        while cuts[-1] < len(rid):
+            limit = begin[cuts[-1]] + _PAIRS
+            cuts.append(max(cuts[-1] + 1, int(total.searchsorted(limit, "right"))))
+        # each (route, slot) pair, route by route; own is the route's place
+        # in the chunk
+        base = first_slot[lab] - begin
+        for a, b in zip(cuts, cuts[1:]):
+            deg = degree[a:b]
+            own = np.arange(b - a).repeat(deg)
+            slot = base[a:b].repeat(deg) + np.arange(begin[a], total[b - 1])
+            word = (masks[a:b, 0][own] if width == 1
+                    else masks[a:b].ravel()[own * width + xword[slot]])
+            word &= xbit[slot]
+            kind = xkind[slot] * (word == 0)  # 1 a route, 2 a path
+            del word
+            # a route that came by a corridor has visited its exit, so only
+            # the block's routes need the edge it came by
+            grow = size[slot] * (slot_edge[slot] != came[a:b][own])
+            keep = (grow + kind).nonzero()[0]
+            grow = grow[keep]
+            own, slot, kind = own[keep], slot[keep], kind[keep]
+            n = grow + (kind == 1)  # routes: a block's, then its exit's
+            del keep
+            hit = (kind == 2).nonzero()[0]
+            if found + len(hit) > MAX_PATHS:
+                raise TooManyPathsError(
+                    f"more than {MAX_PATHS} simple paths from {src} to {dst}"
+                )
+            cum = n.cumsum()  # int64: checked before any use as int32
+            count = int(cum[-1]) if len(cum) else 0
+            # route 0 is not a route extended
+            if created - 1 + count > MAX_PATHS:
+                raise TooManyPathsError(
+                    f"more than {MAX_PATHS} routes from {src} searched for {dst}"
+                )
+            cum = cum.astype(np.int32)
+            pos = np.arange(created, created + count, dtype=np.int32)
+            row = (start[slot] - cum + n).repeat(n) + pos - created
+            o = own.repeat(n)
+            up = back[row]
+            new = (np.where(up > 0, pos - up, rid[a:b][o]), node[row], edge[row],
+                   dep[a:b][o] + depth[row])
+            parts.append(new)
+            del pos, row, o, up
+            # the routes at exits, the last routes of their pairs, go on
+            exits = (kind == 1).nonzero()[0]
+            at, exit_slot = cum[exits] - 1, slot[exits]
+            m = masks[a:b][own[exits]]
+            m[np.arange(len(exits)), xword[exit_slot]] |= xbit[exit_slot]
+            nxt.append((created + at, xlab[exit_slot], new[2][at], new[3][at], m))
+            # a path is its exit row's parent extended by the exit's edge
+            exit_row = xat[slot[hit]]
+            up = back[exit_row]
+            ends = np.where(up > 0, created + cum[hit] - up, rid[a:b][own[hit]])
+            # res: each pair's frontier id, -1 for a path, -2 for neither
+            res = np.full(len(kind), -2, np.int32)
+            res[exits] = np.arange(branched, branched + len(exits))
+            res[hit] = -1
+            # each route's first pair, then the chunk's end
+            bounds = np.zeros(b - a + 1, np.intp)
+            np.bincount(own, minlength=b - a).cumsum(out=bounds[1:])
+            book.append((lo + a, lo + b, bounds, slot.astype(np.int32), res,
+                         ends, edge[exit_row]))
+            created, found = created + count, found + len(hit)
+            branched += len(exits)
+        lo = first_id
+        rid, lab, came, dep, masks = (nxt[0] if len(nxt) == 1
+                                      else map(np.concatenate, zip(*nxt)))
+        if len(lab) and words[lab].max() >= width:
+            masks = np.pad(masks, ((0, 0), (0, words[lab].max() + 1 - width)))
+    routes = tuple(np.concatenate([[first_value], *field], dtype=np.int32)
+                   for first_value, field in zip((-1, s, -1, 0), zip(*parts)))
+    del parts
+    # the paths under each frontier route: those of its pairs' exits, summed
+    # from the last chunk up; res -1, a path, reads 1 and -2 reads 0
+    under = np.zeros(branched + 2)
+    under[-1] = 1
+    for lo, hi, bounds, _, res, _, _ in reversed(book):
+        before = np.zeros(len(res) + 1)  # the paths under earlier pairs
+        under[res].cumsum(out=before[1:])
+        before = before[bounds]
+        under[lo:hi] = before[1:] - before[:-1]
+    # a pair's paths come after its route's first path and its earlier
+    # pairs' paths, so a path's index is its pair's rank, with no sort
+    first = np.zeros(branched + 2)
+    end, last = np.empty(found, np.int32), np.empty(found, np.int32)
+    slots, weights = [], []
+    book.reverse()
+    while book:
+        lo, hi, bounds, slot, res, ends, lasts = book.pop()
+        u = under[res]
+        before = np.zeros(len(res) + 1)
+        u.cumsum(out=before[1:])
+        at = (first[lo:hi] - before[bounds[:-1]]).repeat(bounds[1:] - bounds[:-1])
+        at += before[:-1]
+        first[res] = at  # -1 and -2 write the unused last entries
+        i = at[res == -1].astype(np.intp)
+        end[i], last[i] = ends, lasts
+        slots.append(slot)
+        weights.append(u)
+    # each edge's load: the paths under each slot's pairs on each edge of
+    # the way from the slot to its exit
+    per_slot = np.bincount(np.concatenate(slots), np.concatenate(weights), len(size))
+    loads = np.bincount(edge, per_slot.repeat(size + 1) * chain, edges)
+    return routes, (end, last), loads
 
 
 def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
-    """Every simple path from source to destination, by a DFS that visits
-    neighbours in sorted order, so paths come out lexicographic.
+    """Every simple path from source to destination, in lexicographic order
+    of node names.
 
-    During discovery each edge's offered load is the number of candidate
-    paths crossing it times ``n_packets``; the per-edge serve
-    probabilities reflect that load.  The table is empty when no path
-    exists.  More than ``MAX_PATHS`` paths, or routes searched, raise
-    :class:`TooManyPathsError`.
+    A level-synchronous search extends every route of the frontier at once
+    along each edge of its node, in sorted neighbour order, over blocks of
+    the routes through passive nodes (see :func:`_blocks`), so it takes one
+    numpy step per branch node on a path.  During discovery each edge's
+    offered load is the number of candidate paths crossing it times
+    ``n_packets``; the per-edge serve probabilities reflect that load.  The
+    table is empty when no path exists.  More than ``MAX_PATHS`` paths, or
+    routes searched, raise :class:`TooManyPathsError`.
     """
     src, dst = traffic.source, traffic.destination
     if src not in graph.adj or dst not in graph.adj:
@@ -245,63 +499,23 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     index = {n: i for i, n in enumerate(names)}
     s, d = index[src], index[dst]
     serve: list[float | None] = [None] * len(graph.buffers)
-    routes = [-1, s, -1, 0]
-    if src == dst:
-        return Candidates(names, d, routes, [0, -1], serve)
-    if src not in _reachable(graph, dst):
-        return Candidates(names, d, routes, [], serve)
-
-    adj = [[(index[m], edge) for m, edge in graph.adj[n]] for n in names]
-    paths: list[int] = []
-    found, created = 0, 1  # paths and routes so far
-    seen = [False] * len(names)
-    seen[s] = True
-    # one frame per route on the search's current branch: its number, its
-    # node and the neighbours still to try
-    stack = [(0, s, iter(adj[s]))]
-    while stack:
-        route, node, untried = stack[-1]
-        for nxt, edge in untried:
-            if seen[nxt]:
-                continue
-            if nxt == d:
-                paths += (route, edge)
-                found += 1
-                if found > MAX_PATHS:
-                    raise TooManyPathsError(
-                        f"more than {MAX_PATHS} simple paths from {src} to {dst}"
-                    )
-                continue
-            # every route but the source's own was extended short of dst
-            if created > MAX_PATHS:
-                raise TooManyPathsError(
-                    f"more than {MAX_PATHS} routes from {src} searched for {dst}"
-                )
-            seen[nxt] = True
-            routes += (route, nxt, edge, len(stack))
-            stack.append((created, nxt, iter(adj[nxt])))
-            created += 1
-            break
-        else:
-            stack.pop()
-            seen[node] = False
-
-    candidates = Candidates(names, d, routes, paths, serve)
-    # paths through each route: those ending at it, then each depth's
-    # summed into its parents, deepest first
-    under = np.bincount(candidates.end, minlength=created).astype(float)
-    for level in reversed(candidates.levels[1:]):
-        under += np.bincount(
-            candidates.parent[level], weights=under[level], minlength=created
-        )
-    loads = np.bincount(candidates.edge[1:], weights=under[1:], minlength=len(serve))
-    loads += np.bincount(candidates.last, minlength=len(serve))
+    blocks = None
+    if src != dst:
+        adj = [[(index[m], edge) for m, edge in graph.adj[n]] for n in names]
+        blocks = _blocks(adj, s, d)
+    if blocks is None:
+        # route 0 alone; the path from a node to itself is route 0 with last -1
+        source = tuple(np.array([v], np.int32) for v in (-1, s, -1, 0))
+        own = int(src == dst)
+        self_path = np.zeros(own, np.int32), np.full(own, -1, np.int32)
+        return Candidates(names, d, source, self_path, serve)
+    routes, paths, loads = _search(blocks, s, len(serve), src, dst)
     bits = list(graph.buffers.values())
     for edge in np.flatnonzero(loads).tolist():
         serve[edge] = serve_probability(
             bits[edge], int(loads[edge]) * traffic.n_packets, traffic.packet_len
         )
-    return candidates
+    return Candidates(names, d, routes, paths, serve)
 
 
 def _pick(candidates: Candidates, scores: np.ndarray) -> tuple[int, float]:

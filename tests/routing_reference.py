@@ -21,9 +21,19 @@ from pbc_bb84.relay_routing import (
     NetworkGraph,
     TooManyPathsError,
     TrafficSpec,
-    _reachable,
     serve_probability,
 )
+
+
+def _reachable(graph: NetworkGraph, node: str) -> set[str]:
+    """Every node joined to ``node`` by some path."""
+    reach, todo = {node}, [node]
+    while todo:
+        for nxt, _ in graph.adj[todo.pop()]:
+            if nxt not in reach:
+                reach.add(nxt)
+                todo.append(nxt)
+    return reach
 
 
 def _simple_paths(graph: NetworkGraph, src: str, dst: str):

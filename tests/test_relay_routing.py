@@ -60,7 +60,8 @@ def table(*paths):
         found += (route, len(serve))
         serve.append(probs[-1])
     destination = names.index(ends.pop()) if ends else 0
-    return rr.Candidates(names, destination, routes, found, serve)
+    return rr.Candidates(names, destination, np.array(routes).reshape(-1, 4).T,
+                         np.array(found, np.intp).reshape(-1, 2).T, serve)
 
 
 def node_tuples(candidates):
