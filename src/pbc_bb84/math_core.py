@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _LN2 = math.log(2.0)
 
 #: Exponent read literally as printed: (d*N - floor(E*N))^2 / (1 - N).
@@ -249,10 +251,6 @@ def binding_bound(bp: BindingParams, variant: str = VARIANT_LITERAL) -> float:
     n = bp.n_tol
     m = _floor_tol(bp.e_tol * n)
     step = (hi - lo) / bp.delta_grid
-
-    # deferred: numpy is loaded by the protocol's modules already, and an
-    # import here keeps it off the import of math_core
-    import numpy as np
 
     d = lo + (np.arange(bp.delta_grid) + 0.5) * step
     if variant == VARIANT_LITERAL:

@@ -186,7 +186,7 @@ class Candidates:
         combined with its last edge, one depth at a time."""
         # an edge no path crosses has no value; only routes that lead to
         # no path read it
-        values = np.array([math.nan if v is None else v for v in values])
+        values = np.array(values, float)
         order = np.argsort(self.depth, kind="stable")
         levels = np.split(order, np.cumsum(np.bincount(self.depth))[:-1])
         acc = np.empty(len(self.parent))
@@ -235,14 +235,15 @@ def _blocks(adj: list, s: int, d: int):
     to a branch node is a block of no routes with that node as its exit.
     Loops are peeled once, so a passive node has at most four table rows.
 
-    Returns arrays: by label, each node's first slot, its slot count and
-    the last mask word it or its exits need; by slot, its edge, its exit's
-    kind (0 none, 1 a branch node, 2 d), its route count, its first table
-    row, its exit's row, and its exit's label and mask word; by slot, the
-    mask bit of that label; and the table, slot by slot, whose five rows
-    hold each block route's distance back to its parent in the block (0 for
-    the route the block leaves), node, edge, depth below that route, and
-    whether it lies on the way to the exit, then the same for the exit.
+    Returns arrays: by label, each node's first slot and its slot count; by
+    slot, its edge, its exit's kind (0 none, 1 a branch node, 2 d), its
+    route count, its first table row, its exit's row and its exit's label;
+    ``xbit``, one row per mask word of 64 labels, whose row w holds by slot
+    the mask bit of the exit's label where that label is in word w, else 0;
+    and the table, slot by slot, whose five rows hold each block route's
+    distance back to its parent in the block (0 for the route the block
+    leaves), node, edge, depth below that route, and whether it lies on the
+    way to the exit, then the same for the exit.
     """
     n = len(adj)
     order, seen = [s], bytearray(n)
@@ -329,23 +330,22 @@ def _blocks(adj: list, s: int, d: int):
     xat = (size + 1).cumsum() - 1
     table = np.zeros((5, xat[-1] + 1), np.int32)
     table[1, xat], table[2, xat], table[3:, xat] = nbr, edge, 1
-    if rows:
-        exits = np.array(exits, np.int32).reshape(-1, 6).T
-        table[:, xat[passive]] = exits[:5]
-        xlab[passive] = exits[5]
-        inner = np.ones(len(table[0]), bool)
-        inner[xat] = False
-        table[:, inner] = np.array(rows, np.int32).reshape(-1, 5).T
+    exits = np.array(exits, np.int32).reshape(-1, 6).T
+    table[:, xat[passive]] = exits[:5]
+    xlab[passive] = exits[5]
+    inner = np.ones(len(table[0]), bool)
+    inner[xat] = False
+    table[:, inner] = np.array(rows, np.int32).reshape(-1, 5).T
     has_exit = xlab >= 0
-    labels = np.arange(len(branch))
-    words = labels >> 6
-    np.maximum.at(words, labels.repeat(count), np.maximum(xlab, 0) >> 6)
+    xbit = np.zeros(((len(branch) + 63) >> 6, len(pairs)), np.uint64)
+    xbit[np.maximum(xlab, 0) >> 6, np.arange(len(pairs))] = np.left_shift(
+        has_exit.astype(np.uint64), (xlab & 63).astype(np.uint64))
     count = np.array(count)
     return (
-        (count.cumsum() - count, count, words),
+        (count.cumsum() - count, count),
         (edge, has_exit.astype(np.int32) + (xlab == label[d]), size, xat - size, xat,
-         xlab, np.maximum(xlab, 0) >> 6),
-        np.left_shift(has_exit.astype(np.uint64), (xlab & 63).astype(np.uint64)),
+         xlab),
+        xbit,
         table,
     )
 
@@ -354,20 +354,21 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
     """Every route from ``s`` and every path on to d, one step per branch
     node on them, and each edge's load: routes as (parent, node, edge,
     depth) arrays, paths as (end, last) arrays in lexicographic order."""
-    (first_slot, slot_count, words), slots, xbit, table = blocks
-    slot_edge, xkind, size, start, xat, xlab, xword = slots
+    (first_slot, slot_count), slots, xbit, table = blocks
+    slot_edge, xkind, size, start, xat, xlab = slots
     back, node, edge, depth, chain = table
     # the frontier, the routes at branch nodes, each with its id, label,
-    # edge it came by, depth and visited labels as a bitmask of mask words
+    # edge it came by, depth and visited labels as a bitmask, one mask word
+    # per 64 labels
     rid = lab = dep = np.zeros(1, np.int32)
     came = np.full(1, -1, np.int32)
-    masks = np.zeros((1, words[0] + 1), np.uint64)
+    masks = np.zeros((1, len(xbit)), np.uint64)
     masks[0, 0] = 1
     created, found, branched, lo = 1, 0, 1, 0  # routes, paths, frontier ids
     parts = []  # each chunk's routes
     book = []  # each chunk's frontier ids and pairs, for the ranking
     while len(rid):
-        nxt, first_id, width = [], branched, masks.shape[1]
+        nxt, first_id = [], branched
         degree = slot_count[lab]
         total = degree.cumsum()
         begin = total - degree
@@ -382,9 +383,10 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
             deg = degree[a:b]
             own = np.arange(b - a).repeat(deg)
             slot = base[a:b].repeat(deg) + np.arange(begin[a], total[b - 1])
-            word = (masks[a:b, 0][own] if width == 1
-                    else masks[a:b].ravel()[own * width + xword[slot]])
-            word &= xbit[slot]
+            # the exit's bit in the route's mask, 0 where it is unvisited
+            word = masks[a:b, 0][own] & xbit[0][slot]
+            for w in range(1, len(xbit)):
+                word |= masks[a:b, w][own] & xbit[w][slot]
             kind = xkind[slot] * (word == 0)  # 1 a route, 2 a path
             del word
             # a route that came by a corridor has visited its exit, so only
@@ -419,8 +421,7 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
             # the routes at exits, the last routes of their pairs, go on
             exits = (kind == 1).nonzero()[0]
             at, exit_slot = cum[exits] - 1, slot[exits]
-            m = masks[a:b][own[exits]]
-            m[np.arange(len(exits)), xword[exit_slot]] |= xbit[exit_slot]
+            m = masks[a:b][own[exits]] | xbit[:, exit_slot].T
             nxt.append((created + at, xlab[exit_slot], new[2][at], new[3][at], m))
             # a path is its exit row's parent extended by the exit's edge
             exit_row = xat[slot[hit]]
@@ -438,10 +439,7 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
             created, found = created + count, found + len(hit)
             branched += len(exits)
         lo = first_id
-        rid, lab, came, dep, masks = (nxt[0] if len(nxt) == 1
-                                      else map(np.concatenate, zip(*nxt)))
-        if len(lab) and words[lab].max() >= width:
-            masks = np.pad(masks, ((0, 0), (0, words[lab].max() + 1 - width)))
+        rid, lab, came, dep, masks = map(np.concatenate, zip(*nxt))
     routes = tuple(np.concatenate([[first_value], *field], dtype=np.int32)
                    for first_value, field in zip((-1, s, -1, 0), zip(*parts)))
     del parts

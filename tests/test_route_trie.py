@@ -15,6 +15,7 @@ import json
 import math
 import time
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -153,6 +154,20 @@ def diamonds_instance(n):
     return rr.NetworkGraph(nodes, edges), rr.TrafficSpec(spine[0], spine[-1], 1, 1)
 
 
+def hung_k4_instance(n):
+    # a chain of n nodes, each with a K4 hung from it by one edge: five
+    # branch nodes a chain node, so at 40 the visited masks take four words
+    spine = [f"c{i:03}" for i in range(n)]
+    edges = [(a, b, 10 + i % 11) for i, (a, b) in enumerate(zip(spine, spine[1:]))]
+    nodes = list(spine)
+    for i, c in enumerate(spine):
+        k4 = [f"{p}{i:03}" for p in "kwxy"]
+        edges.append((c, k4[0], 4 + i % 5))
+        edges += [(a, b, 6 + j) for j, (a, b) in enumerate(combinations(k4, 2))]
+        nodes += k4
+    return rr.NetworkGraph(nodes, edges), rr.TrafficSpec(spine[0], spine[-1], 1, 1)
+
+
 def triangles_instance(n, src, dst):
     # a chain of n nodes, each with a triangle: once the triangles' loops
     # are peeled, the chain is a corridor, or trees where it runs past
@@ -267,6 +282,7 @@ INSTANCES = {
     **{f"sparse{s}": (lambda s=s: sparse_instance(s)) for s in range(50)},
     "beads70": lambda: beads_instance(70),
     "diamonds30": lambda: diamonds_instance(30),
+    "hung_k4_40": lambda: hung_k4_instance(40),
     "triangles30": lambda: triangles_instance(30, 0, 29),
     "inner_triangles": lambda: triangles_instance(30, 6, 20),
     "metro": lambda: metro_instance("R0", "R5"),
@@ -304,7 +320,8 @@ def test_trie_matches_reference(name):
 
 
 @pytest.mark.parametrize("name", ["K6", "lollipop", "subdivided_k5", "sparse40",
-                                  "sparse12", "random1", "metro_rings", "looped_ends"])
+                                  "sparse12", "random1", "metro_rings", "looped_ends",
+                                  "hung_k4_40"])
 def test_steps_in_chunks_match_reference(name, monkeypatch):
     # a step takes its frontier a few (route, edge) pairs at a time
     monkeypatch.setattr(rr, "_PAIRS", 5)
@@ -314,7 +331,7 @@ def test_steps_in_chunks_match_reference(name, monkeypatch):
 @pytest.mark.parametrize("name, count", [
     ("ring40", 2), ("comb30", 2), ("tree", 2), ("triangles30", 2),
     ("inner_triangles", 2), ("metro", 4), ("looped_ends", 4),
-    ("nested_triangles", 4), ("diamonds30", 90),
+    ("nested_triangles", 4), ("diamonds30", 90), ("hung_k4_40", 200),
 ])
 def test_search_steps_over_branch_nodes(name, count):
     # a search takes a step per branch node on a route; trees, loops and
