@@ -237,13 +237,12 @@ def _blocks(adj: list, s: int, d: int):
 
     Returns arrays: by label, each node's first slot and its slot count; by
     slot, its edge, its exit's kind (0 none, 1 a branch node, 2 d), its
-    route count, its first table row, its exit's row and its exit's label;
-    ``xbit``, one row per mask word of 64 labels, whose row w holds by slot
-    the mask bit of the exit's label where that label is in word w, else 0;
-    and the table, slot by slot, whose five rows hold each block route's
-    distance back to its parent in the block (0 for the route the block
-    leaves), node, edge, depth below that route, and whether it lies on the
-    way to the exit, then the same for the exit.
+    route count, its first table row, its exit's row, its exit's label and
+    the mask word of that label; by slot, the exit's bit in that word, 0
+    where it has no exit; and the table, slot by slot, whose five rows hold
+    each block route's distance back to its parent in the block (0 for the
+    route the block leaves), node, edge, depth below that route, and
+    whether it lies on the way to the exit, then the same for the exit.
     """
     n = len(adj)
     order, seen = [s], bytearray(n)
@@ -337,15 +336,12 @@ def _blocks(adj: list, s: int, d: int):
     inner[xat] = False
     table[:, inner] = np.array(rows, np.int32).reshape(-1, 5).T
     has_exit = xlab >= 0
-    xbit = np.zeros(((len(branch) + 63) >> 6, len(pairs)), np.uint64)
-    xbit[np.maximum(xlab, 0) >> 6, np.arange(len(pairs))] = np.left_shift(
-        has_exit.astype(np.uint64), (xlab & 63).astype(np.uint64))
     count = np.array(count)
     return (
         (count.cumsum() - count, count),
         (edge, has_exit.astype(np.int32) + (xlab == label[d]), size, xat - size, xat,
-         xlab),
-        xbit,
+         xlab, np.maximum(xlab, 0) >> 6),
+        np.left_shift(has_exit.astype(np.uint64), (xlab & 63).astype(np.uint64)),
         table,
     )
 
@@ -355,14 +351,15 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
     node on them, and each edge's load: routes as (parent, node, edge,
     depth) arrays, paths as (end, last) arrays in lexicographic order."""
     (first_slot, slot_count), slots, xbit, table = blocks
-    slot_edge, xkind, size, start, xat, xlab = slots
+    slot_edge, xkind, size, start, xat, xlab, xword = slots
     back, node, edge, depth, chain = table
     # the frontier, the routes at branch nodes, each with its id, label,
     # edge it came by, depth and visited labels as a bitmask, one mask word
     # per 64 labels
     rid = lab = dep = np.zeros(1, np.int32)
     came = np.full(1, -1, np.int32)
-    masks = np.zeros((1, len(xbit)), np.uint64)
+    nword = (len(slot_count) + 63) >> 6
+    masks = np.zeros((1, nword), np.uint64)
     masks[0, 0] = 1
     created, found, branched, lo = 1, 0, 1, 0  # routes, paths, frontier ids
     parts = []  # each chunk's routes
@@ -384,9 +381,7 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
             own = np.arange(b - a).repeat(deg)
             slot = base[a:b].repeat(deg) + np.arange(begin[a], total[b - 1])
             # the exit's bit in the route's mask, 0 where it is unvisited
-            word = masks[a:b, 0][own] & xbit[0][slot]
-            for w in range(1, len(xbit)):
-                word |= masks[a:b, w][own] & xbit[w][slot]
+            word = masks[a:b].ravel()[own * nword + xword[slot]] & xbit[slot]
             kind = xkind[slot] * (word == 0)  # 1 a route, 2 a path
             del word
             # a route that came by a corridor has visited its exit, so only
@@ -421,7 +416,8 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
             # the routes at exits, the last routes of their pairs, go on
             exits = (kind == 1).nonzero()[0]
             at, exit_slot = cum[exits] - 1, slot[exits]
-            m = masks[a:b][own[exits]] | xbit[:, exit_slot].T
+            m = masks[a:b][own[exits]]
+            m[np.arange(len(exits)), xword[exit_slot]] |= xbit[exit_slot]
             nxt.append((created + at, xlab[exit_slot], new[2][at], new[3][at], m))
             # a path is its exit row's parent extended by the exit's edge
             exit_row = xat[slot[hit]]

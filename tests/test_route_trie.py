@@ -491,7 +491,10 @@ def tail_instance(length):
     lambda: complete_instance(300),
     # 1,957 routes reach n3, each with 10,000 routes down the tail after it
     lambda: tail_instance(10_000),
-], ids=["K300", "k9_tail"])
+    # 301,950 edges out of branch nodes and visited masks of nine words: a
+    # table of every edge's exit bit in every word would add 21 MiB
+    lambda: complete_instance(550),
+], ids=["K300", "k9_tail", "K550"])
 def test_refusal_is_made_in_bounded_memory(make):
     graph, traffic = make()
     tracemalloc.start()
@@ -513,4 +516,17 @@ def test_long_chain_is_discovered_in_linear_time():
     elapsed = time.perf_counter() - start
     shape = len(trie), len(trie.parent), int(trie.depth[trie.end[0]])
     assert shape == (1, 79_999, 79_998)
+    assert elapsed < 1.5
+
+
+def test_long_hung_k4_chain_is_discovered_in_linear_time():
+    # 20,000 branch nodes, so each visited mask takes 313 words, and a step
+    # per chain node; a search whose cost per step grows with the mask
+    # width takes seconds here
+    graph, traffic = hung_k4_instance(4_000)
+    start = time.perf_counter()
+    trie = rr.flood_discover(graph, traffic)
+    elapsed = time.perf_counter() - start
+    shape = len(trie), len(trie.parent), int(trie.depth[trie.end[0]])
+    assert shape == (1, 67_983, 3_998)
     assert elapsed < 1.5
