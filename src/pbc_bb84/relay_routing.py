@@ -71,35 +71,41 @@ class TrafficSpec:
 class NetworkGraph:
     """Undirected relay graph; each edge carries a key-buffer size in bits.
 
-    Edge ids are positions in ``buffers``; ``adj`` lists each node's
-    neighbours in sorted order with the id of the edge to each.
+    The graph is held once, in the form discovery reads: ``edges`` holds
+    the (a, b, buffer_bits) triples in input order, an edge's id being its
+    position, and ``adj[i]`` node i's (neighbour index, edge id) pairs in
+    order of neighbour name.
     """
 
     def __init__(self, nodes, edges):
         self.nodes = tuple(nodes)
         if not all(isinstance(n, str) for n in self.nodes):
             raise ValueError("node identifiers must be strings")
-        if len(set(self.nodes)) != len(self.nodes):
+        index = {n: i for i, n in enumerate(self.nodes)}
+        if len(index) != len(self.nodes):
             raise ValueError("duplicate node identifiers")
-        self.buffers: dict[frozenset, int] = {}
-        self.adj: dict[str, list[tuple[str, int]]] = {n: [] for n in self.nodes}
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
+        seen, valid = set(), []
         for a, b, buffer_bits in edges:
             if a == b:
                 raise ValueError(f"self-loop at {a}")
-            if a not in self.adj or b not in self.adj:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise ValueError(f"edge ({a}, {b}) references unknown node")
             key = frozenset((a, b))
-            if key in self.buffers:
+            if key in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             if not _is_int(buffer_bits):
                 raise ValueError("buffer_bits must be an integer")
             if buffer_bits < 0:
                 raise ValueError("buffer_bits must be non-negative")
-            self.adj[a].append((b, len(self.buffers)))
-            self.adj[b].append((a, len(self.buffers)))
-            self.buffers[key] = buffer_bits
-        for n in self.adj:
-            self.adj[n].sort()
+            seen.add(key)
+            self.adj[i].append((j, len(valid)))
+            self.adj[j].append((i, len(valid)))
+            valid.append((a, b, buffer_bits))
+        self.edges: tuple[tuple[str, str, int], ...] = tuple(valid)
+        for nbrs in self.adj:
+            nbrs.sort(key=lambda pair: self.nodes[pair[0]])
 
     @classmethod
     def from_json(cls, doc: dict) -> "NetworkGraph":
@@ -486,17 +492,12 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     table is empty when no path exists.  More than ``MAX_PATHS`` paths, or
     routes searched, raise :class:`TooManyPathsError`.
     """
-    src, dst = traffic.source, traffic.destination
-    if src not in graph.adj or dst not in graph.adj:
+    src, dst, names = traffic.source, traffic.destination, graph.nodes
+    if src not in names or dst not in names:
         raise ValueError("source or destination not in graph")
-    names = graph.nodes
-    index = {n: i for i, n in enumerate(names)}
-    s, d = index[src], index[dst]
-    serve: list[float | None] = [None] * len(graph.buffers)
-    blocks = None
-    if src != dst:
-        adj = [[(index[m], edge) for m, edge in graph.adj[n]] for n in names]
-        blocks = _blocks(adj, s, d)
+    s, d = names.index(src), names.index(dst)
+    serve: list[float | None] = [None] * len(graph.edges)
+    blocks = _blocks(graph.adj, s, d) if s != d else None
     if blocks is None:
         # route 0 alone; the path from a node to itself is route 0 with last -1
         source = tuple(np.array([v], np.int32) for v in (-1, s, -1, 0))
@@ -504,11 +505,9 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
         self_path = np.zeros(own, np.int32), np.full(own, -1, np.int32)
         return Candidates(names, d, source, self_path, serve)
     routes, paths, loads = _search(blocks, s, len(serve), src, dst)
-    bits = list(graph.buffers.values())
     for edge in np.flatnonzero(loads).tolist():
-        serve[edge] = serve_probability(
-            bits[edge], int(loads[edge]) * traffic.n_packets, traffic.packet_len
-        )
+        load = int(loads[edge]) * traffic.n_packets
+        serve[edge] = serve_probability(graph.edges[edge][2], load, traffic.packet_len)
     return Candidates(names, d, routes, paths, serve)
 
 
@@ -572,12 +571,11 @@ def reserve_circuit(
     reservation as the route report writes it.
     """
     nodes = candidates.path(chosen)
-    bits = list(graph.buffers.values())
     return {
         "path": list(nodes),
         "before_probs": list(candidates.probs(chosen)),
         "after_probs": [
-            serve_probability(bits[edge], traffic.n_packets, traffic.packet_len)
+            serve_probability(graph.edges[edge][2], traffic.n_packets, traffic.packet_len)
             for edge in candidates.edge_ids(chosen)
         ],
         "handles": [

@@ -25,30 +25,40 @@ from pbc_bb84.relay_routing import (
 )
 
 
-def _reachable(graph: NetworkGraph, node: str) -> set[str]:
+def _neighbours(graph: NetworkGraph) -> dict[str, list[tuple[str, int]]]:
+    """Each node's (neighbour, edge id) pairs in sorted order, built from
+    the edge list alone."""
+    adj = {n: [] for n in graph.nodes}
+    for edge, (a, b, _) in enumerate(graph.edges):
+        adj[a].append((b, edge))
+        adj[b].append((a, edge))
+    return {n: sorted(pairs) for n, pairs in adj.items()}
+
+
+def _reachable(adj: dict, node: str) -> set[str]:
     """Every node joined to ``node`` by some path."""
     reach, todo = {node}, [node]
     while todo:
-        for nxt, _ in graph.adj[todo.pop()]:
+        for nxt, _ in adj[todo.pop()]:
             if nxt not in reach:
                 reach.add(nxt)
                 todo.append(nxt)
     return reach
 
 
-def _simple_paths(graph: NetworkGraph, src: str, dst: str):
+def _simple_paths(adj: dict, src: str, dst: str):
     """Node tuples and edge-id tuples of every simple path, by a DFS that
     visits neighbours in sorted order, so paths come out lexicographic."""
     if src == dst:
         return [(src,)], [()]
-    if src not in _reachable(graph, dst):
+    if src not in _reachable(adj, dst):
         return [], []
     paths, edges = [], []
     seen = {src}
     extended = 0
     # one frame per node on the current route: its route, its edges and
     # the neighbours still to try
-    stack = [((src,), (), iter(graph.adj[src]))]
+    stack = [((src,), (), iter(adj[src]))]
     while stack:
         route, route_edges, untried = stack[-1]
         for nxt, edge in untried:
@@ -68,7 +78,7 @@ def _simple_paths(graph: NetworkGraph, src: str, dst: str):
                     f"more than {MAX_PATHS} routes from {src} searched for {dst}"
                 )
             seen.add(nxt)
-            stack.append((route + (nxt,), route_edges + (edge,), iter(graph.adj[nxt])))
+            stack.append((route + (nxt,), route_edges + (edge,), iter(adj[nxt])))
             break
         else:
             stack.pop()
@@ -79,14 +89,14 @@ def _simple_paths(graph: NetworkGraph, src: str, dst: str):
 def flood_discover(graph: NetworkGraph, traffic: TrafficSpec):
     """``(paths, edges, serve)``: node tuples, edge-id tuples and each
     edge's serve probability under its load, None where no path crosses."""
-    if traffic.source not in graph.adj or traffic.destination not in graph.adj:
+    if traffic.source not in graph.nodes or traffic.destination not in graph.nodes:
         raise ValueError("source or destination not in graph")
-    paths, edges = _simple_paths(graph, traffic.source, traffic.destination)
-    bits = list(graph.buffers.values())
-    serve: list[float | None] = [None] * len(bits)
+    adj = _neighbours(graph)
+    paths, edges = _simple_paths(adj, traffic.source, traffic.destination)
+    serve: list[float | None] = [None] * len(graph.edges)
     for edge, load in Counter(chain.from_iterable(edges)).items():
         serve[edge] = serve_probability(
-            bits[edge], load * traffic.n_packets, traffic.packet_len
+            graph.edges[edge][2], load * traffic.n_packets, traffic.packet_len
         )
     return paths, edges, serve
 

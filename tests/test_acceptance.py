@@ -329,8 +329,8 @@ def random_instance(seed):
 def oracle_paths(graph, src, dst):
     g = nx.Graph()
     g.add_nodes_from(graph.nodes)
-    for edge in graph.buffers:
-        g.add_edge(*sorted(edge))
+    for a, b, _ in graph.edges:
+        g.add_edge(a, b)
     return sorted(tuple(p) for p in nx.all_simple_paths(g, src, dst))
 
 

@@ -4,10 +4,13 @@
 ``bb84_frames``, ``codebook`` and the other modules by name, and its
 per-layer metrics read 0 without notice when a wrapped name is deleted or
 no longer called through its module.  This runs the tracer, unchanged,
-over one small ``commit_all`` session, one ``route --mode vc`` on a
-diamond graph and the default ``binding`` grid.
+over one small ``commit_all`` session, one ``route --mode vc`` and one
+``route --mode datagram`` on a diamond graph, the default ``binding`` grid
+and a 2 x 2 ``rates`` grid, and checks that every span ``bench/run.py``
+reports records a call.
 """
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -17,6 +20,7 @@ from pbc_bb84 import (
 )
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+RUN = TRACING.with_name("run.py")
 MODULES = (
     bb84_frames, cli, codebook, commitment_protocol, math_core, relay_routing,
     commitment_protocol.KeyBuffer,
@@ -28,6 +32,13 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_spans():
+    """``SPANS`` of ``bench/run.py``, read from its source: running the
+    script's module would import the rest of the benchmark."""
+    return next(ast.literal_eval(node.value) for node in ast.parse(RUN.read_text()).body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SPANS")
 
 
 def test_spans_recorded_and_attributes_restored(tmp_path):
@@ -51,27 +62,21 @@ def test_spans_recorded_and_attributes_restored(tmp_path):
         assert cli.main(
             ["route", "--network", str(network), "--mode", "vc", "-o", str(tmp_path / "r.json")]
         ) == 0
+        assert cli.main(
+            ["route", "--network", str(network), "--mode", "datagram",
+             "-o", str(tmp_path / "d.json")]
+        ) == 0
         assert cli.main(["binding", "--delta-grid", "10", "-o", str(tmp_path / "b.csv")]) == 0
+        assert cli.main(
+            ["rates", "--q-steps", "2", "--p-steps", "2", "-o", str(tmp_path / "q.csv")]
+        ) == 0
     finally:
         tracer.remove()
 
     calls = tracer.summary()["calls"]
-    for name in (
-        "commitment_protocol.try_commit",
-        "commitment_protocol.bob_verify",
-        "commitment_protocol.compute_verification_counts",
-        "codebook.is_codeword",
-        "codebook.payload_bits",
-        "codebook.decode_payload",
-        "codebook.pack_bits",
-        "commitment_protocol.KeyBuffer.extend",
-        "commitment_protocol.KeyBuffer.consume",
-        "commitment_protocol.otp_decrypt",
-        "relay_routing.flood_discover",
-        "relay_routing.vc_select",
-        "relay_routing.reserve_circuit",
-        "math_core.binding_bound",
-    ):
+    spans = bench_spans()
+    assert spans
+    for name in spans:
         assert calls.get(name, 0) > 0, name
     for owner, attrs in zip(MODULES, before):
         assert dict(vars(owner)) == attrs, owner

@@ -35,8 +35,7 @@ def random_graph(rng):
 def nx_simple_paths(graph, src, dst):
     g = nx.Graph()
     g.add_nodes_from(graph.nodes)
-    for edge in graph.buffers:
-        a, b = sorted(edge)
+    for a, b, _ in graph.edges:
         g.add_edge(a, b)
     if src not in g or dst not in g:
         return []
@@ -182,7 +181,7 @@ class TestFloodDiscover:
         # dst hangs off the source of K7: one path, and 1,956 routes through
         # K7 that cannot reach dst without passing the source again
         graph, nodes = complete_graph(7)
-        edges = [(*sorted(edge), bits) for edge, bits in graph.buffers.items()]
+        edges = list(graph.edges)
         graph = rr.NetworkGraph([*nodes, "dst"], [*edges, (nodes[0], "dst", 100)])
         traffic = rr.TrafficSpec(nodes[0], "dst", 1, 1)
         monkeypatch.setattr(rr, "MAX_PATHS", 1_956)
@@ -193,7 +192,7 @@ class TestFloodDiscover:
 
     def test_unreachable_destination_is_not_searched(self, monkeypatch):
         graph, nodes = complete_graph(7)
-        edges = [(*sorted(edge), bits) for edge, bits in graph.buffers.items()]
+        edges = list(graph.edges)
         graph = rr.NetworkGraph([*nodes, "dst"], edges)
         monkeypatch.setattr(rr, "MAX_PATHS", 1)
         assert node_tuples(rr.flood_discover(graph, rr.TrafficSpec(nodes[0], "dst", 1, 1))) == []
@@ -331,7 +330,7 @@ class TestGraphValidation:
         graph = rr.NetworkGraph.from_json(
             {"nodes": ["A", "B"], "edges": [{"a": "A", "b": "B", "buffer_bits": 7.0}]}
         )
-        assert type(graph.buffers[frozenset(("A", "B"))]) is int
+        assert type(graph.edges[0][2]) is int
 
     @pytest.mark.parametrize("nodes", ["AB", {"A": 0, "B": 1}, [1, 2]])
     def test_nodes_must_be_a_list_of_names(self, nodes):
@@ -357,13 +356,19 @@ class TestGraphValidation:
         assert type(traffic.n_packets) is type(traffic.packet_len) is int
 
     def test_from_json(self):
+        # nodes out of name order: the edges keep their input order, and
+        # each node's neighbours are listed by name, not by index
+        triples = (("C", "B", 7), ("A", "C", 3), ("B", "A", 5))
         graph = rr.NetworkGraph.from_json(
             {
-                "nodes": ["A", "B"],
-                "edges": [{"a": "A", "b": "B", "buffer_bits": 7}],
+                "nodes": ["C", "A", "B"],
+                "edges": [{"a": a, "b": b, "buffer_bits": bits} for a, b, bits in triples],
                 "traffic": {"src": "A", "dst": "B", "n_packets": 1, "packet_len": 1},
             }
         )
-        assert graph.buffers[frozenset(("A", "B"))] == 7
+        assert graph.nodes == ("C", "A", "B")
+        assert graph.edges == triples
+        # C: A by edge 1, B by edge 0; A: B by 2, C by 1; B: A by 2, C by 0
+        assert graph.adj == [[(1, 1), (2, 0)], [(2, 2), (0, 1)], [(1, 2), (0, 0)]]
         with pytest.raises(ValueError):
             rr.NetworkGraph.from_json({"nodes": []})

@@ -78,7 +78,7 @@ def lollipop_instance():
     # K4 with a loop of four nodes on n0: a search entering the loop's
     # corridor at either end comes back to n0 and ends there
     graph, nodes = complete_graph(4)
-    edges = [(*sorted(edge), bits) for edge, bits in graph.buffers.items()]
+    edges = list(graph.edges)
     loop = ["n0", "l1", "l2", "l3", "l4", "n0"]
     edges += [(a, b, 7) for a, b in zip(loop, loop[1:])]
     graph = rr.NetworkGraph([*nodes, *loop[1:-1]], edges)
@@ -99,8 +99,7 @@ def subdivided_k5_instance():
     # those nodes, inside corridors
     graph, nodes = complete_graph(5)
     edges = []
-    for i, (edge, bits) in enumerate(graph.buffers.items()):
-        a, b = sorted(edge)
+    for i, (a, b, bits) in enumerate(graph.edges):
         edges += [(a, f"m{a}{b}", bits + i), (f"m{a}{b}", b, bits + 2 * i)]
     mids = sorted({b for a, b, _ in edges if b.startswith("m")})
     graph = rr.NetworkGraph([*nodes, *mids], edges)
@@ -201,7 +200,7 @@ def looped_ends_instance():
     # whose other two nodes carry a pendant node with two triangles, and
     # two triangles and a spur
     graph, nodes = complete_graph(4)
-    edges = [(*sorted(edge), bits) for edge, bits in graph.buffers.items()]
+    edges = list(graph.edges)
     extra = []
 
     def loop(root, *names):
@@ -246,7 +245,7 @@ def looped_sparse_instance(seed):
     # random nodes, src and dst among them
     graph, traffic = sparse_instance(seed)
     rng = np.random.default_rng(5000 + seed)
-    edges = [(*sorted(edge), bits) for edge, bits in graph.buffers.items()]
+    edges = list(graph.edges)
     nodes = list(graph.nodes)
     for k in range(int(rng.integers(1, 5))):
         root = nodes[int(rng.integers(len(nodes)))]
@@ -337,15 +336,15 @@ def test_search_steps_over_branch_nodes(name, count):
     # a search takes a step per branch node on a route; trees, loops and
     # corridors are walked once, so a chain of triangles takes two
     graph, traffic = INSTANCES[name]()
-    index = {n: i for i, n in enumerate(graph.nodes)}
-    adj = [[(index[m], edge) for m, edge in graph.adj[n]] for n in graph.nodes]
-    blocks = rr._blocks(adj, index[traffic.source], index[traffic.destination])
+    s, d = map(graph.nodes.index, (traffic.source, traffic.destination))
+    blocks = rr._blocks(graph.adj, s, d)
     assert len(blocks[0][1]) == count
 
 
 def routes_searched(graph, src, dst):
-    """How many routes a search from src extends short of dst, src's own
-    included: the simple paths from src that do not reach dst."""
+    """How many routes a search from node index src extends short of node
+    index dst, src's own included: the simple paths from src that do not
+    reach dst."""
     count, stack = 0, [(src, {src})]
     while stack:
         node, seen = stack.pop()
@@ -359,7 +358,8 @@ def assert_matches_reference(graph, traffic):
     trie = rr.flood_discover(graph, traffic)
     paths, edges, serve = ref.flood_discover(graph, traffic)
     if paths and traffic.source != traffic.destination:
-        searched = routes_searched(graph, traffic.source, traffic.destination)
+        searched = routes_searched(
+            graph, *map(graph.nodes.index, (traffic.source, traffic.destination)))
         assert len(trie.parent) == searched
 
     assert [trie.path(i) for i in range(len(trie))] == paths
@@ -491,10 +491,11 @@ def tail_instance(length):
     lambda: complete_instance(300),
     # 1,957 routes reach n3, each with 10,000 routes down the tail after it
     lambda: tail_instance(10_000),
-    # 301,950 edges out of branch nodes and visited masks of nine words: a
-    # table of every edge's exit bit in every word would add 21 MiB
-    lambda: complete_instance(550),
-], ids=["K300", "k9_tail", "K550"])
+    # 489,300 edges out of branch nodes and visited masks of eleven words:
+    # a table of every edge's exit bit in every word would add 41 MiB, and
+    # a copy of the adjacency made per discovery about 30 MiB
+    lambda: complete_instance(700),
+], ids=["K300", "k9_tail", "K700"])
 def test_refusal_is_made_in_bounded_memory(make):
     graph, traffic = make()
     tracemalloc.start()
