@@ -4,11 +4,11 @@ Bob prepares polarized pulses, a loss+flip channel stands in for the
 optics, Alice measures in random bases, and detected signals are grouped
 into 4N-signal frames.  All randomness flows from explicit seeds through
 numpy's default generator (PCG64), so identical seeds give bit-identical
-streams.  Pulses and detected records are numpy structured arrays, frames
-an ``(n_frames, 4N)`` view of the records, classification and sifting
-per-frame masks.  A basis is an int code: 0 is rectilinear, 1 diagonal.
-A ``RECORD`` row is the one frame format from the channel to Bob's
-verdict.
+streams.  A signal is one ``RECORD`` row from Bob's preparation to his
+verdict: a pulse is a row with Bob's half filled in, a detected signal
+the same row with Alice's half added.  Frames are an ``(n_frames, 4N)``
+view of the records, classification and sifting per-frame masks.  A
+basis is an int code: 0 is rectilinear, 1 diagonal.
 """
 
 from __future__ import annotations
@@ -24,25 +24,25 @@ class FrameClass(enum.Enum):
     NORMAL = "normal"
 
 
-#: Bob's prepared signals: (basis, bit) selects one of the four
-#: polarization states.
-PULSE = np.dtype([("basis", np.int8), ("bit", np.int8)])
-#: One detected signal: Alice's view (index, basis, outcome) and Bob's
-#: (basis, bit), which only the verifier's counts and test oracles read.
+#: One signal: Alice's measurement (basis, outcome) and Bob's preparation
+#: (basis, bit), which selects one of the four polarization states.
+#: Sifting and the verifier's counts read Bob's basis; only the verifier
+#: and test oracles read his bit.
 RECORD = np.dtype([
-    ("index", np.int64), ("alice_basis", np.int8), ("outcome", np.int8),
+    ("alice_basis", np.int8), ("outcome", np.int8),
     ("bob_basis", np.int8), ("bob_bit", np.int8),
 ])
 
 
 def prepare_pulses(count: int, rng_seed: int) -> np.ndarray:
-    """Bob's pulse train: independent fair coin flips for basis and bit."""
+    """Bob's pulse train: independent fair coin flips for basis and bit,
+    as records whose Alice half is 0."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    pulses = np.empty(count, PULSE)
-    pulses["basis"] = rng.integers(0, 2, size=count)
-    pulses["bit"] = rng.integers(0, 2, size=count)
+    pulses = np.zeros(count, RECORD)
+    pulses["bob_basis"] = rng.integers(0, 2, size=count)
+    pulses["bob_bit"] = rng.integers(0, 2, size=count)
     return pulses
 
 
@@ -55,9 +55,8 @@ def transmit_and_measure(
     Alice registers it at all; Alice picks a uniform basis; a matched
     basis reproduces Bob's bit except with ``flip_prob`` (the simulated
     QBER), a mismatched basis yields a fair coin.  Undetected pulses are
-    simply absent (detection notification is implicit); a record's index
-    is its pulse's position.  The session's configuration checks both
-    probabilities.
+    simply absent (detection notification is implicit).  The session's
+    configuration checks both probabilities.
     """
     n = len(pulses)
     rng = np.random.default_rng(rng_seed)
@@ -66,13 +65,10 @@ def transmit_and_measure(
     flips = (rng.random(n) < flip_prob)[detected]
     coins = rng.integers(0, 2, size=n)[detected]
 
-    sent = pulses[detected]
-    records = np.empty(len(detected), RECORD)
-    records["index"] = detected
+    records = pulses[detected]
     records["alice_basis"] = alice
-    records["outcome"] = np.where(alice == sent["basis"], sent["bit"] ^ flips, coins)
-    records["bob_basis"] = sent["basis"]
-    records["bob_bit"] = sent["bit"]
+    records["outcome"] = np.where(
+        alice == records["bob_basis"], records["bob_bit"] ^ flips, coins)
     return records
 
 

@@ -8,10 +8,10 @@ one-time-pad key for P0 and P1, a ledger of two counters (:func:`try_commit`);
 commitment frames (whose outcome substring is a codeword) send an
 OTP-encrypted payload to each relay, and after the waiting-time schedule
 elapses the relays cross-check and Bob verifies against his ground truth.
-A frame is one row of ``bb84_frames.RECORD`` records from the channel to
-the verdict, and a basis an int code (0 rectilinear, committing bit 0; 1
-diagonal, committing bit 1); Bob verifies all of a session's commitments
-in one call, on their rows.
+A frame is one row of ``bb84_frames.RECORD`` records from Bob's
+preparation to the verdict, and a basis an int code (0 rectilinear,
+committing bit 0; 1 diagonal, committing bit 1); Bob verifies all of a
+session's commitments in one call, on their rows.
 """
 
 from __future__ import annotations

@@ -22,11 +22,17 @@ import numpy as np
 #: the search where many routes end in a part of the graph that the
 #: destination can be reached from only through the route itself.
 MAX_PATHS = 2**17
+#: Most node names the paths of one discovery may list in all; a path
+#: that extends route r lists depth[r] + 2.  K10's paths list 986,410, and
+#: those of a chain of 5,000 nodes before 10 diamonds 5,142,528: 1,024
+#: paths, a 195 MB report.
+MAX_LISTED = 2**22
 
 
 class TooManyPathsError(ValueError):
     """Raised when a discovery finds more than ``MAX_PATHS`` simple paths,
-    or extends more than ``MAX_PATHS`` routes short of the destination."""
+    extends more than ``MAX_PATHS`` routes short of the destination, or
+    finds paths that list more than ``MAX_LISTED`` node names."""
 
 
 def _integral(value):
@@ -490,7 +496,8 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     offered load is the number of candidate paths crossing it times
     ``n_packets``; the per-edge serve probabilities reflect that load.  The
     table is empty when no path exists.  More than ``MAX_PATHS`` paths, or
-    routes searched, raise :class:`TooManyPathsError`.
+    routes searched, or more than ``MAX_LISTED`` node names on the paths,
+    raise :class:`TooManyPathsError`.
     """
     src, dst, names = traffic.source, traffic.destination, graph.nodes
     if src not in names or dst not in names:
@@ -505,6 +512,11 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
         self_path = np.zeros(own, np.int32), np.full(own, -1, np.int32)
         return Candidates(names, d, source, self_path, serve)
     routes, paths, loads = _search(blocks, s, len(serve), src, dst)
+    end = paths[0]
+    if routes[3][end].sum(dtype=np.int64) + 2 * len(end) > MAX_LISTED:
+        raise TooManyPathsError(
+            f"more than {MAX_LISTED} node names on the paths from {src} to {dst}"
+        )
     for edge in np.flatnonzero(loads).tolist():
         load = int(loads[edge]) * traffic.n_packets
         serve[edge] = serve_probability(graph.edges[edge][2], load, traffic.packet_len)

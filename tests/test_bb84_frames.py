@@ -25,6 +25,12 @@ def six_sigma(n, p):
     return 6 * math.sqrt(n * p * (1 - p))
 
 
+def test_record_is_four_bytes():
+    # a signal is Alice's half and Bob's half, from preparation to verdict
+    assert RECORD.names == ("alice_basis", "outcome", "bob_basis", "bob_bit")
+    assert RECORD.itemsize == 4
+
+
 class TestPreparePulses:
     def test_determinism(self):
         a = prepare_pulses(8, rng_seed=7)
@@ -34,12 +40,17 @@ class TestPreparePulses:
 
     def test_single(self):
         (pulse,) = prepare_pulses(1, rng_seed=0)
-        assert pulse["basis"] in (R, D)
-        assert pulse["bit"] in (0, 1)
+        assert pulse["bob_basis"] in (R, D)
+        assert pulse["bob_bit"] in (0, 1)
+
+    def test_records_with_alice_half_zero(self):
+        pulses = prepare_pulses(64, rng_seed=1)
+        assert pulses.dtype == RECORD
+        assert not pulses["alice_basis"].any() and not pulses["outcome"].any()
 
     def test_basis_frequency(self):
         pulses = prepare_pulses(100_000, rng_seed=11)
-        rect = np.count_nonzero(pulses["basis"] == R)
+        rect = np.count_nonzero(pulses["bob_basis"] == R)
         assert abs(rect - 50_000) <= six_sigma(100_000, 0.5)
         assert abs(rect / 100_000 - 0.5) <= 0.01
 
@@ -73,8 +84,15 @@ class TestTransmitAndMeasure:
         pulses = prepare_pulses(500, rng_seed=9)
         a = transmit_and_measure(pulses, 0.7, 0.05, rng_seed=10)
         b = transmit_and_measure(pulses, 0.7, 0.05, rng_seed=10)
-        seen = ["index", "alice_basis", "outcome"]
-        assert np.array_equal(a[seen], b[seen])
+        assert np.array_equal(a, b)
+
+    def test_bob_half_is_the_detected_pulses(self):
+        pulses = prepare_pulses(500, rng_seed=9)
+        records = transmit_and_measure(pulses, 0.7, 0.05, rng_seed=10)
+        # the channel's first draw decides which pulses are detected
+        detected = np.random.default_rng(10).random(500) < 0.7
+        bob = ["bob_basis", "bob_bit"]
+        assert np.array_equal(records[bob], pulses[detected][bob])
 
     def test_channel_validation(self):
         # the channel's two probabilities are checked where a session's
@@ -90,7 +108,6 @@ def _records(alice_bases, outcomes=None):
     n = len(alice_bases)
     outcomes = [0] * n if outcomes is None else outcomes
     records = np.zeros(n, RECORD)
-    records["index"] = np.arange(n)
     records["alice_basis"] = records["bob_basis"] = alice_bases
     records["outcome"] = records["bob_bit"] = outcomes
     return records
@@ -200,8 +217,7 @@ class TestMatchesReference:
         codes = {ref.Basis.RECTILINEAR: R, ref.Basis.DIAGONAL: D}
         for i, frame in enumerate(expected):
             assert frames[i].tolist() == [
-                (r.index, codes[r.alice_basis], r.outcome, codes[r.ground_truth[0]],
-                 r.ground_truth[1])
+                (codes[r.alice_basis], r.outcome, codes[r.ground_truth[0]], r.ground_truth[1])
                 for r in frame.records
             ]
             is_candidate = frame.classification is FrameClass.COMMITMENT_CANDIDATE

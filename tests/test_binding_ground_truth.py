@@ -43,7 +43,6 @@ def committed_views(n_tol):
             n_dd = sum(a == b == 1 for a, b in zip(alice, bob))
             if is_codeword(cb, payload) and min(n_rr, n_dd) >= n_tol:
                 row = np.zeros(4, RECORD)
-                row["index"] = np.arange(4)
                 row["alice_basis"], row["bob_basis"] = alice, bob
                 row["outcome"] = row["bob_bit"] = outcomes
                 yield row, payload

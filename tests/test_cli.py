@@ -660,6 +660,31 @@ class TestRoute:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(2**17) in err
 
+    def test_too_many_names_listed(self, tmp_path, capsys):
+        # a chain of 5,000 nodes, then 10 diamonds: 1,024 paths that list
+        # 5,142,528 node names, a 195 MB report
+        spine = ["src", *(f"c{i:04}" for i in range(5000))]
+        edges = list(zip(spine, spine[1:]))
+        nodes, join = list(spine), spine[-1]
+        for i in range(10):
+            u, v, w = f"u{i}", f"v{i}", f"w{i}"
+            edges += [(join, u), (join, v), (u, w), (v, w)]
+            nodes += [u, v, w]
+            join = w
+        doc = {
+            "nodes": [*nodes, "dst"],
+            "edges": [{"a": a, "b": b, "buffer_bits": 1000} for a, b in [*edges, (join, "dst")]],
+            "traffic": {"src": "src", "dst": "dst", "n_packets": 1, "packet_len": 1},
+        }
+        net, out = tmp_path / "net.json", tmp_path / "r.json"
+        net.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run_cli(["route", "--network", str(net), "-o", str(out)]) == 64
+        assert time.perf_counter() - start < 2.0
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(2**22) in err
+
 
 class TestUsage:
     def test_no_subcommand(self):
@@ -711,6 +736,20 @@ class TestUsage:
         ).stdout.split()
         test_only = ("scipy", "jsonschema", "networkx", "hypothesis", "pytest")
         assert [m for m in loaded if m.split(".")[0] in test_only] == []
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        # ``python -m pbc_bb84.cli`` reaches main through the __main__ guard
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        argv = ["rates", "--q-steps", "2", "--p-steps", "2"]
+        done = subprocess.run(
+            [sys.executable, "-m", "pbc_bb84.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+            capture_output=True, text=True,
+        )
+        out = tmp_path / "rates.csv"
+        assert run_cli([*argv, "-o", str(out)]) == 0
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == out.read_text()
 
 
 def violates_cross_field_rule(name, value):
@@ -783,12 +822,9 @@ def network_with(name, value):
 
 def violates_network_rule(name, value):
     """Whether one field's value breaks a rule the schema cannot state:
-    src and dst name a node, and node names are unique."""
+    src and dst name a node."""
     if name in ("src", "dst"):
         return isinstance(value, str) and value not in NETWORK["nodes"]
-    if name == "nodes" and isinstance(value, list):
-        names = [v for v in value if isinstance(v, str)]
-        return len(set(names)) != len(names)
     return False
 
 
@@ -805,7 +841,12 @@ class TestNetworkSchemaAgreement:
             CONFIG_VALUES, st.sampled_from(NETWORK["nodes"]))
         value = data.draw(values)
         assume(not violates_network_rule(name, value))
-        doc = network_with(name, value)
+        self.assert_agree(network_with(name, value))
+
+    def test_duplicate_node_names(self):
+        self.assert_agree(network_with("nodes", ["A", "B", "C", "D", "A"]))
+
+    def assert_agree(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             net = os.path.join(tmp, "net.json")
             with open(net, "w") as fh:

@@ -38,7 +38,6 @@ def make_frame(alice_bases, outcomes, bob_bases=None, bob_bits=None):
     """One frame as a row of records; Bob's bases and bits default to
     Alice's bases and outcomes."""
     row = np.zeros(len(alice_bases), RECORD)
-    row["index"] = np.arange(len(row))
     row["alice_basis"], row["outcome"] = alice_bases, outcomes
     row["bob_basis"] = alice_bases if bob_bases is None else bob_bases
     row["bob_bit"] = outcomes if bob_bits is None else bob_bits

@@ -171,11 +171,26 @@ class TestFloodDiscover:
         with pytest.raises(rr.TooManyPathsError):
             rr.flood_discover(graph, traffic)
 
+    def test_listed_names_limit(self, monkeypatch):
+        graph, nodes = complete_graph(7)
+        expected = nx_simple_paths(graph, nodes[0], nodes[-1])
+        traffic = rr.TrafficSpec(nodes[0], nodes[-1], 1, 1)
+        # at the limit every name is listed; one name more than it is refused
+        monkeypatch.setattr(rr, "MAX_LISTED", sum(map(len, expected)))
+        assert node_tuples(rr.flood_discover(graph, traffic)) == expected
+        monkeypatch.setattr(rr, "MAX_LISTED", sum(map(len, expected)) - 1)
+        with pytest.raises(rr.TooManyPathsError):
+            rr.flood_discover(graph, traffic)
+
     def test_limit_admits_k10(self):
         graph, nodes = complete_graph(10)
         paths = rr.flood_discover(graph, rr.TrafficSpec(nodes[0], nodes[-1], 1, 1))
-        # sum over k of 8!/(8-k)!, the simple paths between two K10 nodes
+        # sum over k of 8!/(8-k)!, the simple paths between two K10 nodes,
+        # which list k + 2 names each
         assert len(paths) == 109_601 <= rr.MAX_PATHS
+        through = np.bincount(paths.depth[paths.end]).tolist()
+        assert through == [math.perm(8, k) for k in range(9)]
+        assert sum((k + 2) * n for k, n in enumerate(through)) == 986_410 <= rr.MAX_LISTED
 
     def test_limit_bounds_the_search(self, monkeypatch):
         # dst hangs off the source of K7: one path, and 1,956 routes through
