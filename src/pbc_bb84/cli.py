@@ -9,7 +9,9 @@ is the text ``json.dump(..., indent=2, sort_keys=True)`` would write, but
 its long array, the transcript's ``commitments`` or the report's
 ``candidates``, is written into its slot from text pieces, in bounded
 writes: the commitments from templates, the candidates one block of
-paths at a time, gathered with numpy.
+paths at a time, gathered with numpy.  The ``rates`` CSV is the text
+``csv.writer`` would write, from one array pass over the grid, a block of
+lines at a time.
 
 Exit codes: 0 success / Accept, 2 Reject, 3 NoCommitFrame, 64 usage
 error, an unwritable output included.  ``PBC_BB84_OUTPUT_DIR``
@@ -56,9 +58,14 @@ def _output(path: str | None):
     return open(path, "w", newline="")
 
 
-#: Largest accepted ``q_steps * p_steps``.  The sweep writes about 230,000
-#: rows a second: 2^20 rows take about 4.5 s and 63 MB of CSV.
+#: Largest accepted ``q_steps * p_steps``.  2^20 rows take 0.7-2.5 s, by
+#: the grid's shape (a q_tol value costs an entropy and two texts, a p
+#: value one text), and 63 MB of CSV.
 MAX_RATES_ROWS = 2**20
+
+#: Lines of the ``rates`` CSV per write.  A line is at most 75 characters
+#: (q and p at ``.10g``, r and r' at ``.12g``), so a write stays under 2**20.
+_RATES_BLOCK = 2**13
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -69,35 +76,50 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
+def _write_rates(stream, q_grid, p_grid, r, r_prime) -> None:
+    """Write the ``rates`` CSV as ``csv.writer`` lays it out: the header,
+    then a line ``q,p,r,r'`` per grid cell, q-major, q and p at ``.10g``
+    and r and r' at ``.12g``.  No field ever needs quoting, so a line is
+    its fields joined with "," and ended with csv's "\\r\\n".
+
+    A write holds whole rows, at most ``_RATES_BLOCK`` lines, or one part
+    of a longer row.  Each q and r text is formatted once, and each p text
+    once if a row fits in a write.  A longer row (a grid has fewer than
+    2**7 of them) formats its p texts anew, a part at a time, so that no
+    more than a write's worth of them is held."""
+    n_q, n_p = r_prime.shape
+    rows, cols = max(1, _RATES_BLOCK // n_p), min(n_p, _RATES_BLOCK)
+    held = [f"{p:.10g}" for p in p_grid] if cols == n_p else None
+    stream.write("q_tol,p,r,r_prime\r\n")
+    for i in range(0, n_q, rows):
+        q_text = np.array([f"{q:.10g}" for q in q_grid[i:i + rows]], object)[:, None]
+        r_text = np.array([f"{v:.12g}" for v in r[i:i + rows].tolist()], object)[:, None]
+        for j in range(0, n_p, cols):
+            block = r_prime[i:i + rows, j:j + cols]
+            fields = np.empty((*block.shape, 4), object)
+            fields[..., 0], fields[..., 2], fields[..., 3] = q_text, r_text, block
+            fields[..., 1] = held or [f"{p:.10g}" for p in p_grid[j:j + cols]]
+            stream.write(("%s,%s,%s,%.12g\r\n" * block.size)
+                         % tuple(fields.ravel().tolist()))
+
+
 def cmd_rates(args) -> int:
+    # the whole grid is computed before the output opens, so a rejected
+    # grid leaves no file behind
     try:
         if min(args.q_steps, args.p_steps) < 1:
             raise ValueError("steps must be >= 1")
         if args.q_steps * args.p_steps > MAX_RATES_ROWS:
             raise ValueError(f"q_steps * p_steps must be at most {MAX_RATES_ROWS}")
-        # redundant_key_rate converts N to a float
-        if not 1 <= args.n_quarter <= sys.float_info.max:
-            raise ValueError(f"n_quarter must lie in [1, {sys.float_info.max:.3g}]")
         q_grid = _grid(args.q_min, args.q_max, args.q_steps)
         p_grid = _grid(args.p_min, args.p_max, args.p_steps)
-        for q in q_grid:
-            if not 0.0 <= q < 0.5:
-                raise ValueError(f"q_tol grid value {q} outside [0, 0.5)")
-        for p in p_grid:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"p grid value {p} outside [0, 1]")
+        r, r_prime = math_core.redundant_key_rate(q_grid, p_grid, args.n_quarter)
     except ValueError as exc:
         print(f"rates: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     with _output(args.output) as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["q_tol", "p", "r", "r_prime"])
-        for q in q_grid:
-            r = math_core.final_key_rate(q)
-            for p in p_grid:
-                r_prime = math_core.redundant_key_rate(q, p, args.n_quarter)
-                writer.writerow([f"{q:.10g}", f"{p:.10g}", f"{r:.12g}", f"{r_prime:.12g}"])
+        _write_rates(stream, q_grid, p_grid, r, r_prime)
     return EXIT_OK
 
 
@@ -344,13 +366,25 @@ def _alpha(text: str) -> float:
     return alpha
 
 
+#: Largest accepted network document, in bytes.  Parsing a document and
+#: building its graph take about 25 times its size in memory, so a larger
+#: one is refused before it is parsed; the benchmark's K9 document is
+#: about 2 KB.
+MAX_NETWORK_BYTES = 2**22
+
+
 def cmd_route(args) -> int:
     try:
-        with open(args.network) as fh:
-            doc = json.load(fh)
+        # at most one byte past the cap is read: a pipe has no size to
+        # take before it is read
+        with open(args.network, "rb") as fh:
+            data = fh.read(MAX_NETWORK_BYTES + 1)
+        if len(data) > MAX_NETWORK_BYTES:
+            raise ValueError(f"larger than {MAX_NETWORK_BYTES} bytes")
+        doc = json.loads(data.decode())
         graph = relay_routing.NetworkGraph.from_json(doc)
         traffic = relay_routing.TrafficSpec.from_json(doc["traffic"])
-    # json.load raises RecursionError on arrays or objects nested too deep
+    # json.loads raises RecursionError on arrays or objects nested too deep
     except (OSError, RecursionError, KeyError, TypeError, ValueError) as exc:
         print(f"route: invalid network document: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ materialized as floats.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,34 +30,6 @@ MAX_DELTA_GRID = 2**20
 #: Largest accepted ``n_tol``.  The error-ball sum has floor(E_tol*N_tol)
 #: terms: at 2^20 and E_tol = 0.45 it alone takes about 0.5 s.
 MAX_N_TOL = 2**20
-
-
-class RateParams:
-    """Per-frame constants feeding the key-rate formulas.
-
-    A frame holds ``4 * n_quarter`` signals.  ``leak_ec`` is the absolute
-    error-correction leakage in bits.
-    """
-
-    # a plain class, as is BindingParams: a dataclass would add to every
-    # import of the CLI
-    __slots__ = ("n_quarter", "q_tol", "leak_ec", "eps_sec", "eps_cor")
-
-    def __init__(
-        self, n_quarter: int, q_tol: float, leak_ec: float, eps_sec: float, eps_cor: float
-    ):
-        self.n_quarter, self.q_tol, self.leak_ec = n_quarter, q_tol, leak_ec
-        self.eps_sec, self.eps_cor = eps_sec, eps_cor
-        if self.n_quarter < 1:
-            raise ValueError("n_quarter must be >= 1")
-        if not 0.0 <= self.q_tol < 0.5:
-            raise ValueError("q_tol must lie in [0, 0.5)")
-        if self.leak_ec < 0.0:
-            raise ValueError("leak_ec must be non-negative")
-        for name in ("eps_sec", "eps_cor"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie strictly in (0, 1)")
 
 
 class BindingParams:
@@ -100,40 +73,6 @@ def log2_binom(n: int, k: int) -> float:
     return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / _LN2
 
 
-def key_rate_bound(params: RateParams) -> float:
-    """Upper bound on the secret generation rate for one 4N-signal frame.
-
-    May be negative; callers treat a negative value as "no key".
-    """
-    four_n = 4.0 * params.n_quarter
-    penalty = math.log2(2.0 / (params.eps_sec**2 * params.eps_cor)) / four_n
-    return 1.0 - binary_entropy(params.q_tol) - params.leak_ec / four_n - penalty
-
-
-def pa_discard(params: RateParams) -> tuple[float, float]:
-    """Length of key removed by privacy amplification.
-
-    Returns ``(exact, approx)``: the exact form R * h(Q/(1-h(Q))) with raw
-    key length R = 4N * (1-h(Q)), and the commonly used approximation
-    4N * h(Q) * (1-h(Q)).  Raises if the inner entropy argument leaves
-    [0, 1] (which happens for Q_tol above ~0.227).
-    """
-    q = params.q_tol
-    hq = binary_entropy(q)
-    if hq >= 1.0:
-        raise ValueError("h(q_tol) must be < 1")
-    inner = q / (1.0 - hq)
-    if not 0.0 <= inner <= 1.0:
-        raise ValueError(
-            f"privacy-amplification entropy argument {inner} outside [0, 1]"
-        )
-    four_n = 4.0 * params.n_quarter
-    raw_len = four_n * (1.0 - hq)
-    exact = raw_len * binary_entropy(inner)
-    approx = four_n * hq * (1.0 - hq)
-    return exact, approx
-
-
 def final_key_rate(q_tol: float) -> float:
     """Final per-signal key rate (1 - h(Q))^2 - 1.2 * h(Q).
 
@@ -174,19 +113,31 @@ def commit_probability(n_quarter: int, x: int) -> float:
     return 2.0**log2_p
 
 
-def redundant_key_rate(q_tol: float, p: float, n_quarter: int) -> float:
-    """Rate of key left over after funding the commitment's one-time pad.
+def redundant_key_rate(q_tols, ps, n_quarter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rate of key left over after funding the commitment's one-time pad,
+    over a (q_tol x p) grid.
 
-    r' = r - p + p*log2(p)/(2N); the p -> 0 limit returns r itself.
+    Returns ``(r, r_prime)``: r = ``final_key_rate(q)`` for each q, and the
+    (len(q_tols), len(ps)) grid r' = r - p + p*log2(p)/(2N), whose p -> 0
+    limit, taken at p = 0, is r itself.  h(q) is computed once per q and
+    p*log2(p)/(2N) once per p, both with ``math`` (``np.log2`` may round
+    differently); the grid is (r - p) + that term in one numpy broadcast,
+    whose float64 - and + round as Python's do.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if n_quarter < 1:
-        raise ValueError("n_quarter must be >= 1")
-    r = final_key_rate(q_tol)
-    if p == 0.0:
-        return r
-    return r - p + p * math.log2(p) / (2.0 * n_quarter)
+    if not 1 <= n_quarter <= sys.float_info.max:
+        raise ValueError(f"n_quarter must lie in [1, {sys.float_info.max:.3g}]")
+    for q in q_tols:
+        if not 0.0 <= q < 0.5:
+            raise ValueError(f"q_tol value {q} outside [0, 0.5)")
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p value {p} outside [0, 1]")
+    # a Python float: numpy would overflow converting an int past 2^63
+    two_n = 2.0 * n_quarter
+    r = np.fromiter(map(final_key_rate, q_tols), float, len(q_tols))
+    # at p = 0 (or -0.0), r - p + 0.0 is r, since r is never -0.0
+    term = np.fromiter((p * math.log2(p) / two_n if p else 0.0 for p in ps), float, len(ps))
+    return r, (r[:, None] - np.array(ps, float)) + term
 
 
 def _floor_tol(value: float) -> int:

@@ -129,18 +129,10 @@ def test_04_redundant_rate_surface_shape():
     start = time.perf_counter()
     q_grid = np.linspace(0.0, 0.06, 61)
     p_grid = np.linspace(0.0002, 0.01, 50)
-    surface = [
-        [mc.redundant_key_rate(q, p, 100) for p in p_grid] for q in q_grid
-    ]
-    mono_q = all(
-        surface[i][j] >= surface[i + 1][j]
-        for i in range(len(q_grid) - 1) for j in range(len(p_grid))
-    )
-    mono_p = all(
-        surface[i][j] >= surface[i][j + 1]
-        for i in range(len(q_grid)) for j in range(len(p_grid) - 1)
-    )
-    limit = mc.redundant_key_rate(0.0, 1e-12, 100)
+    surface = mc.redundant_key_rate(q_grid.tolist(), p_grid.tolist(), 100)[1]
+    mono_q = bool((surface[:-1] >= surface[1:]).all())
+    mono_p = bool((surface[:, :-1] >= surface[:, 1:]).all())
+    limit = mc.redundant_key_rate([0.0], [1e-12], 100)[1][0, 0]
     limit_ok = abs(limit - 1.0) < 1e-9
     elapsed = time.perf_counter() - start
     ok = mono_q and mono_p and limit_ok and elapsed < 1.0

@@ -18,9 +18,6 @@ from pbc_bb84 import math_core as mc
 # 40-digit mpmath evaluations, frozen.
 H_011 = 0.499915958164528
 LOG2_BINOM_400_200 = 395.35142215691517
-KEY_RATE_BOUND_GOLDEN = 0.14319654793999956
-PA_100_002 = (54.796843937659866, 48.574046186918428)
-PA_1_02 = (0.95265925449029926, 0.80299168279866358)
 FKR_002 = 0.56739569094069851
 REDUNDANT_GOLDEN = 0.99895017107857669
 BINDING_LITERAL_GOLDEN = 2.37942307802  # p=0.1, n_tol=20, e_tol=0.05, grid 1e4
@@ -95,57 +92,6 @@ class TestLog2ErrorBall:
             m = mc._floor_tol(e_tol * n)
             exact = 1 + sum((2**k - 1) * math.comb(n, k) for k in range(1, m + 1))
             assert abs(mc._log2_error_ball(n, m) - math.log2(exact)) < 1e-9, (n, m)
-
-
-class TestKeyRateBound:
-    def test_large_n_limit(self):
-        params = mc.RateParams(
-            n_quarter=10**9, q_tol=0.0, leak_ec=0.0, eps_sec=0.5, eps_cor=0.5
-        )
-        assert mc.key_rate_bound(params) == pytest.approx(1.0, abs=1e-6)
-
-    def test_golden(self):
-        q = 0.05
-        leak = 4 * 100 * 1.2 * mc.binary_entropy(q)
-        params = mc.RateParams(
-            n_quarter=100, q_tol=q, leak_ec=leak, eps_sec=1e-9, eps_cor=1e-9
-        )
-        assert mc.key_rate_bound(params) == pytest.approx(
-            KEY_RATE_BOUND_GOLDEN, rel=1e-12
-        )
-
-    def test_full_leakage_negative(self):
-        for n in (1, 10, 1000):
-            params = mc.RateParams(
-                n_quarter=n, q_tol=0.0, leak_ec=4 * n, eps_sec=0.5, eps_cor=0.5
-            )
-            assert mc.key_rate_bound(params) <= 0.0
-
-
-class TestPaDiscard:
-    def _params(self, n, q):
-        return mc.RateParams(
-            n_quarter=n, q_tol=q, leak_ec=0.0, eps_sec=0.5, eps_cor=0.5
-        )
-
-    def test_noiseless(self):
-        assert mc.pa_discard(self._params(100, 0.0)) == (0.0, 0.0)
-
-    def test_golden(self):
-        exact, approx = mc.pa_discard(self._params(100, 0.02))
-        assert exact == pytest.approx(PA_100_002[0], rel=1e-12)
-        assert approx == pytest.approx(PA_100_002[1], rel=1e-12)
-        assert exact != approx
-
-    def test_small_frame(self):
-        exact, approx = mc.pa_discard(self._params(1, 0.2))
-        assert exact == pytest.approx(PA_1_02[0], rel=1e-12)
-        assert approx == pytest.approx(PA_1_02[1], rel=1e-12)
-
-    def test_domain_error(self):
-        # q/(1-h(q)) leaves [0,1] around q ~ 0.227
-        with pytest.raises(ValueError):
-            mc.pa_discard(self._params(1, 0.25))
 
 
 class TestFinalKeyRate:
@@ -258,24 +204,36 @@ class TestCommitProbability:
 
 class TestRedundantKeyRate:
     def test_p_zero_limit(self):
-        assert mc.redundant_key_rate(0.0, 0.0, 100) == 1.0
+        r, r_prime = mc.redundant_key_rate([0.0, 0.02], [0.0, -0.0], 100)
+        assert r[0] == 1.0
+        # p = 0 returns r itself, whatever its sign
+        assert (r_prime == r[:, None]).all()
 
     def test_golden(self):
-        assert mc.redundant_key_rate(0.0, 0.001, 100) == pytest.approx(
+        assert mc.redundant_key_rate([0.0], [0.001], 100)[1][0, 0] == pytest.approx(
             REDUNDANT_GOLDEN, abs=1e-12
         )
 
     def test_below_final_rate(self):
-        for q in (0.0, 0.02, 0.05):
-            r = mc.final_key_rate(q)
-            for i in range(1, 101):
-                p = i / 100
-                assert mc.redundant_key_rate(q, p, 1) < r
+        qs = (0.0, 0.02, 0.05)
+        r, r_prime = mc.redundant_key_rate(qs, [i / 100 for i in range(1, 101)], 1)
+        assert r.tolist() == [mc.final_key_rate(q) for q in qs]
+        assert r_prime.shape == (3, 100)
+        assert (r_prime < r[:, None]).all()
 
     def test_decreasing_in_p(self):
         ps = [i / 1000 for i in range(1, 1001)]
-        vals = [mc.redundant_key_rate(0.02, p, 100) for p in ps]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+        vals = mc.redundant_key_rate([0.02], ps, 100)[1][0]
+        assert (vals[:-1] > vals[1:]).all()
+
+    @pytest.mark.parametrize("q, p, n_quarter", [
+        (0.5, 0.1, 1), (-0.01, 0.1, 1), (math.nan, 0.1, 1),
+        (0.1, 1.01, 1), (0.1, -0.01, 1), (0.1, math.nan, 1),
+        (0.1, 0.1, 0), (0.1, 0.1, 10**309),
+    ])
+    def test_domain(self, q, p, n_quarter):
+        with pytest.raises(ValueError):
+            mc.redundant_key_rate([0.0, q], [0.0, p], n_quarter)
 
 
 class TestBindingBound:
@@ -347,16 +305,6 @@ class TestBindingMatchesReference:
 
 
 class TestParamValidation:
-    def test_rate_params(self):
-        with pytest.raises(ValueError):
-            mc.RateParams(0, 0.1, 0.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            mc.RateParams(1, 0.5, 0.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            mc.RateParams(1, 0.1, 0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            mc.RateParams(1, 0.1, -1.0, 0.5, 0.5)
-
     def test_binding_params(self):
         with pytest.raises(ValueError):
             mc.BindingParams(1.5, 10, 0.05)
