@@ -58,6 +58,24 @@ def _output(path: str | None):
     return open(path, "w", newline="")
 
 
+#: Largest accepted input document, a session config or a network, in
+#: bytes.  Parsing a network and building its graph take about 25 times
+#: its size in memory, so a larger document is refused before it is
+#: parsed; the benchmark's K9 network is about 2 KB.
+MAX_DOCUMENT_BYTES = 2**22
+
+
+def _read_json(path: str):
+    """The JSON document in the file at ``path``; ValueError if it is
+    larger than ``MAX_DOCUMENT_BYTES``.  At most one byte past the cap is
+    read, since a pipe has no size to take before it is read."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise ValueError(f"larger than {MAX_DOCUMENT_BYTES} bytes")
+    return json.loads(data.decode())
+
+
 #: Largest accepted ``q_steps * p_steps``.  2^20 rows take 0.7-2.5 s, by
 #: the grid's shape (a q_tol value costs an entropy and two texts, a p
 #: value one text), and 63 MB of CSV.
@@ -73,7 +91,9 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
         raise ValueError("range is inverted")
     if steps == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    # hi - lo is rounded, so a step near hi can round past it, and out of
+    # the domain that hi is in
+    return [min(hi, lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
 
 
 def _write_rates(stream, q_grid, p_grid, r, r_prime) -> None:
@@ -249,9 +269,8 @@ def _write_transcript(stream, transcript: dict) -> None:
 
 def cmd_simulate(args) -> int:
     try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    # json.load raises RecursionError on arrays or objects nested too deep,
+        doc = _read_json(args.config)
+    # json.loads raises RecursionError on arrays or objects nested too deep,
     # and ValueError on an integer past Python's int-string digit limit
     except (OSError, RecursionError, ValueError) as exc:
         print(f"simulate: cannot read config: {exc}", file=sys.stderr)
@@ -289,40 +308,40 @@ def _write_candidates(stream, candidates) -> None:
     serve probability and of each node name.
 
     Paths are written one block at a time.  A block's (paths x depth)
-    matrix of routes is built by walking up ``parent`` from the paths' end
+    matrix of routes is built by walking up ``parent`` from the paths'
     routes, one numpy step per depth; a shallower path's row is padded on
     the left with route 0, the source alone.  Each row maps to ids of text
-    pieces: the path's opening, the edge pieces of its routes, its last
-    edge's, the source, then the node pieces of its routes, route 0's
-    being ``""``.  The block's text is those pieces gathered and joined, in
-    one write.  A block holds as many paths as ``16 * _CHUNK`` (2**20)
-    characters hold at the longest piece and the deepest path's piece
-    count, and at least one, so only a path longer than that by itself
-    makes a longer write."""
+    pieces: the path's opening, the edge pieces of its routes, the last one
+    closing ``edge_probs``, the source, then the node pieces of its routes,
+    route 0's being ``""``.  The block's text is those pieces gathered and
+    joined, in one write.  A block holds as many paths as ``16 * _CHUNK``
+    (2**20) characters hold at the longest piece and the deepest path's
+    piece count, and at least one, so only a path longer than that by
+    itself makes a longer write."""
     if not len(candidates):
         stream.write("[]")
         return
     node_text = [json.dumps(n) for n in candidates.names]
     source = node_text[candidates.node[0]]
     sep = ",\n        "  # between two items of a candidate's list
-    if candidates.last[0] < 0:
-        # json writes an empty list, the path from a node to itself, as []
+    if not candidates.end[0]:
+        # route 0, the path from a node to itself: json writes its empty
+        # edge_probs as []
         stream.write('[\n    {\n      "edge_probs": [],\n      "path": [\n        '
                      + source + "\n      ]\n    }\n  ]")
         return
     # the pieces of the text: a path's opening, an edge's probability inside
     # and at the end of its edge_probs, a node after the source, a path's close
-    opening = '\n    {\n      "edge_probs": [\n        '
+    opening, close = '\n    {\n      "edge_probs": [\n        ', "\n      ]\n    }"
     prob_text = [json.dumps(p) for p in candidates.serve]
     inner_text, last_text = (
         [p + s for p in prob_text] for s in (sep, '\n      ],\n      "path": [\n        '))
-    next_text = [sep + n for n in node_text]
-    close = next_text[candidates.destination] + "\n      ]\n    }"
-    lead = close + "," + opening  # ends a path and opens the next
-    # piece ids: 0 "", 1 the first opening, 2 lead, 3 the source, then the
-    # edges' inner and last texts and the nodes' next texts
-    pieces = np.array(["", "[" + opening, lead, source,
-                       *inner_text, *last_text, *next_text], dtype=object)
+    # piece ids: 0 "", 1 the first opening, 2 the close of a path and the
+    # opening of the next, 3 the source, then the edges' inner and last
+    # texts and the nodes' texts
+    pieces = np.array(["", "[" + opening, close + "," + opening, source,
+                       *inner_text, *last_text, *(sep + n for n in node_text)],
+                      dtype=object)
     inner, last, after = 4, 4 + len(prob_text), 4 + 2 * len(prob_text)
     # each route's edge and node piece ids; route 0, the source alone, has
     # neither and is its own parent, so a walk up stays there
@@ -330,30 +349,28 @@ def _write_candidates(stream, candidates) -> None:
     up = candidates.parent.copy()
     edge_ids[0] = node_ids[0] = up[0] = 0
     deepest = int(candidates.depth[candidates.end].max())
-    # a path of d + 1 edges is 2d + 3 pieces, so a write stays under 2**20
+    # a path of d edges is 2d + 2 pieces, so a write stays under 2**20
     # characters however long the names are; blocks of _CHUNK characters,
     # about 60 K9 paths, would make 16 times the numpy calls
     longest = max(map(len, pieces))
-    per_block = max(1, 16 * _CHUNK // (longest * (2 * deepest + 3)))
+    per_block = max(1, 16 * _CHUNK // (longest * (2 * deepest + 2)))
     opened = 1
     for start in range(0, len(candidates), per_block):
-        block = slice(start, start + per_block)
-        ends = candidates.end[block]
-        # a path of one edge ends at route 0: keep one column for it
-        deep = max(1, int(candidates.depth[ends].max()))
-        # right-aligned: the last column holds each path's end route and
-        # each other column the parent of the route to its right
+        ends = candidates.end[start:start + per_block]
+        deep = int(candidates.depth[ends].max())
+        # right-aligned: the last column holds each path's route and each
+        # other column the parent of the route to its right
         routes = np.empty((len(ends), deep), np.intp)
         route = routes[:, -1] = ends
         for d in range(deep - 2, -1, -1):
             route = routes[:, d] = up[route]
-        ids = np.empty((len(ends), 2 * deep + 3), np.intp)
+        ids = np.empty((len(ends), 2 * deep + 2), np.intp)
         ids[:, 0] = 2
         ids[0, 0] = opened
         ids[:, 1:deep + 1] = edge_ids[routes]
-        ids[:, deep + 1] = candidates.last[block] + last
-        ids[:, deep + 2] = 3
-        ids[:, deep + 3:] = node_ids[routes]
+        ids[:, deep] += last - inner  # the path's last edge ends edge_probs
+        ids[:, deep + 1] = 3
+        ids[:, deep + 2:] = node_ids[routes]
         stream.write("".join(pieces[ids.ravel()].tolist()))
         opened = 2
     stream.write(close + "\n  ]")
@@ -366,22 +383,9 @@ def _alpha(text: str) -> float:
     return alpha
 
 
-#: Largest accepted network document, in bytes.  Parsing a document and
-#: building its graph take about 25 times its size in memory, so a larger
-#: one is refused before it is parsed; the benchmark's K9 document is
-#: about 2 KB.
-MAX_NETWORK_BYTES = 2**22
-
-
 def cmd_route(args) -> int:
     try:
-        # at most one byte past the cap is read: a pipe has no size to
-        # take before it is read
-        with open(args.network, "rb") as fh:
-            data = fh.read(MAX_NETWORK_BYTES + 1)
-        if len(data) > MAX_NETWORK_BYTES:
-            raise ValueError(f"larger than {MAX_NETWORK_BYTES} bytes")
-        doc = json.loads(data.decode())
+        doc = _read_json(args.network)
         graph = relay_routing.NetworkGraph.from_json(doc)
         traffic = relay_routing.TrafficSpec.from_json(doc["traffic"])
     # json.loads raises RecursionError on arrays or objects nested too deep

@@ -12,6 +12,7 @@ of the trie, so no object is made per route or per path.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -22,17 +23,18 @@ import numpy as np
 #: the search where many routes end in a part of the graph that the
 #: destination can be reached from only through the route itself.
 MAX_PATHS = 2**17
-#: Most node names the paths of one discovery may list in all; a path
-#: that extends route r lists depth[r] + 2.  K10's paths list 986,410, and
-#: those of a chain of 5,000 nodes before 10 diamonds 5,142,528: 1,024
-#: paths, a 195 MB report.
-MAX_LISTED = 2**22
+#: Most characters of the route report's ``candidates`` text that the paths
+#: of one discovery may take: each route's name and probability text, with
+#: their separators, plus a constant per path.  K10's paths, named n0-n9,
+#: take 47.6 million, and those of a chain of 5,000 nodes before 10
+#: diamonds 185 million; with 1,000-character names, K10's would take 1 GB.
+MAX_LISTED = 2**27
 
 
 class TooManyPathsError(ValueError):
     """Raised when a discovery finds more than ``MAX_PATHS`` simple paths,
     extends more than ``MAX_PATHS`` routes short of the destination, or
-    finds paths that list more than ``MAX_LISTED`` node names."""
+    finds paths whose text would pass ``MAX_LISTED`` characters."""
 
 
 def _integral(value):
@@ -135,39 +137,34 @@ class Candidates:
     comes before its children.  Route 0 is the source alone; route r > 0 is
     route ``parent[r]`` extended by edge ``edge[r]`` to node ``node[r]``, an
     index into ``names``, ``depth[r]`` edges from the source.  Path i is
-    route ``end[i]`` extended by edge ``last[i]`` to node ``destination``;
-    paths are numbered in lexicographic order of their node names.  The
-    path from a node to itself is route 0 with ``last`` -1.  ``serve[e]``
-    is edge e's serve probability under the discovery's load, or None where
-    no path crosses e.
+    route ``end[i]``, a route at the destination, and no other route is
+    there; paths are numbered in lexicographic order of their node names.
+    The path from a node to itself is route 0.  ``serve[e]`` is edge e's
+    serve probability under the discovery's load, or None where no path
+    crosses e.
     """
 
     # a plain class: a dataclass would add about a millisecond to every
     # import of the CLI
-    __slots__ = (
-        "names", "destination", "parent", "node", "edge", "depth",
-        "end", "last", "serve",
-    )
+    __slots__ = ("names", "parent", "node", "edge", "depth", "end", "serve")
 
     def __init__(
         self,
         names: tuple[str, ...],
-        destination: int,
         routes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        paths: tuple[np.ndarray, np.ndarray],
+        end: np.ndarray,
         serve: list[float | None],
     ):
         """``routes`` holds the (parent, node, edge, depth) arrays of the
-        routes and ``paths`` the (end, last) arrays of the paths."""
-        self.names, self.destination, self.serve = names, destination, serve
+        routes and ``end`` each path's route."""
+        self.names, self.end, self.serve = names, end, serve
         self.parent, self.node, self.edge, self.depth = routes
-        self.end, self.last = paths
 
     def __len__(self) -> int:
         return len(self.end)
 
     def _routes(self, i: int) -> list[int]:
-        """The routes path i extends, from the source's own."""
+        """Path i's routes, from the source's own."""
         chain, route = [], int(self.end[i])
         while route >= 0:
             chain.append(route)
@@ -176,17 +173,11 @@ class Candidates:
 
     def path(self, i: int) -> tuple[str, ...]:
         """Path i's node names, from the source."""
-        nodes = [self.names[self.node[r]] for r in self._routes(i)]
-        if self.last[i] >= 0:
-            nodes.append(self.names[self.destination])
-        return tuple(nodes)
+        return tuple(self.names[self.node[r]] for r in self._routes(i))
 
     def edge_ids(self, i: int) -> tuple[int, ...]:
         """Path i's edge ids, from the source."""
-        edges = [int(self.edge[r]) for r in self._routes(i)[1:]]
-        if self.last[i] >= 0:
-            edges.append(int(self.last[i]))
-        return tuple(edges)
+        return tuple(int(self.edge[r]) for r in self._routes(i)[1:])
 
     def probs(self, i: int) -> tuple[float, ...]:
         """Path i's serve probabilities, edge by edge."""
@@ -195,7 +186,7 @@ class Candidates:
     def fold(self, ufunc, start: float, values: list[float | None]) -> np.ndarray:
         """Each path's ``ufunc`` of ``start`` and its edges' ``values``,
         left to right in edge order: each route's value is its parent's
-        combined with its last edge, one depth at a time."""
+        combined with the edge that extends it, one depth at a time."""
         # an edge no path crosses has no value; only routes that lead to
         # no path read it
         values = np.array(values, float)
@@ -205,7 +196,7 @@ class Candidates:
         acc[0] = start
         for level in levels[1:]:
             acc[level] = ufunc(acc[self.parent[level]], values[self.edge[level]])
-        return ufunc(acc[self.end], values[self.last])
+        return acc[self.end]
 
 
 def serve_probability(buffer_bits: int, n_packets: int, packet_len: int) -> float:
@@ -249,12 +240,12 @@ def _blocks(adj: list, s: int, d: int):
 
     Returns arrays: by label, each node's first slot and its slot count; by
     slot, its edge, its exit's kind (0 none, 1 a branch node, 2 d), its
-    route count, its first table row, its exit's row, its exit's label and
-    the mask word of that label; by slot, the exit's bit in that word, 0
-    where it has no exit; and the table, slot by slot, whose five rows hold
-    each block route's distance back to its parent in the block (0 for the
-    route the block leaves), node, edge, depth below that route, and
-    whether it lies on the way to the exit, then the same for the exit.
+    route count, its first table row, its exit's label and the mask word of
+    that label; by slot, the exit's bit in that word, 0 where it has no
+    exit; and the table, slot by slot, whose five rows hold each block
+    route's distance back to its parent in the block (0 for the route the
+    block leaves), node, edge, depth below that route, and whether it lies
+    on the way to the exit, then the same for the exit's route.
     """
     n = len(adj)
     order, seen = [s], bytearray(n)
@@ -351,19 +342,21 @@ def _blocks(adj: list, s: int, d: int):
     count = np.array(count)
     return (
         (count.cumsum() - count, count),
-        (edge, has_exit.astype(np.int32) + (xlab == label[d]), size, xat - size, xat,
+        (edge, has_exit.astype(np.int32) + (xlab == label[d]), size, xat - size,
          xlab, np.maximum(xlab, 0) >> 6),
         np.left_shift(has_exit.astype(np.uint64), (xlab & 63).astype(np.uint64)),
         table,
     )
 
 
-def _search(blocks, s: int, edges: int, src: str, dst: str):
-    """Every route from ``s`` and every path on to d, one step per branch
-    node on them, and each edge's load: routes as (parent, node, edge,
-    depth) arrays, paths as (end, last) arrays in lexicographic order."""
+def _search(blocks, s: int, graph: NetworkGraph, traffic: TrafficSpec):
+    """Every route from ``s``, every path being one at d, one step per
+    branch node on them, and the paths through each edge and each node:
+    routes as (parent, node, edge, depth) arrays, paths as the array of
+    their routes in lexicographic order, then the two counts."""
+    src, dst = traffic.source, traffic.destination
     (first_slot, slot_count), slots, xbit, table = blocks
-    slot_edge, xkind, size, start, xat, xlab, xword = slots
+    slot_edge, xkind, size, start, xlab, xword = slots
     back, node, edge, depth, chain = table
     # the frontier, the routes at branch nodes, each with its id, label,
     # edge it came by, depth and visited labels as a bitmask, one mask word
@@ -402,7 +395,7 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
             keep = (grow + kind).nonzero()[0]
             grow = grow[keep]
             own, slot, kind = own[keep], slot[keep], kind[keep]
-            n = grow + (kind == 1)  # routes: a block's, then its exit's
+            n = grow + (kind > 0)  # routes: a block's, then its exit's
             del keep
             hit = (kind == 2).nonzero()[0]
             if found + len(hit) > MAX_PATHS:
@@ -411,8 +404,8 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
                 )
             cum = n.cumsum()  # int64: checked before any use as int32
             count = int(cum[-1]) if len(cum) else 0
-            # route 0 is not a route extended
-            if created - 1 + count > MAX_PATHS:
+            # route 0 is not a route extended, nor is a route at d
+            if created - 1 - found + count - len(hit) > MAX_PATHS:
                 raise TooManyPathsError(
                     f"more than {MAX_PATHS} routes from {src} searched for {dst}"
                 )
@@ -425,16 +418,13 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
                    dep[a:b][o] + depth[row])
             parts.append(new)
             del pos, row, o, up
-            # the routes at exits, the last routes of their pairs, go on
+            # the routes at exits, the last routes of their pairs, go on,
+            # but those at d are paths
             exits = (kind == 1).nonzero()[0]
             at, exit_slot = cum[exits] - 1, slot[exits]
             m = masks[a:b][own[exits]]
             m[np.arange(len(exits)), xword[exit_slot]] |= xbit[exit_slot]
             nxt.append((created + at, xlab[exit_slot], new[2][at], new[3][at], m))
-            # a path is its exit row's parent extended by the exit's edge
-            exit_row = xat[slot[hit]]
-            up = back[exit_row]
-            ends = np.where(up > 0, created + cum[hit] - up, rid[a:b][own[hit]])
             # res: each pair's frontier id, -1 for a path, -2 for neither
             res = np.full(len(kind), -2, np.int32)
             res[exits] = np.arange(branched, branched + len(exits))
@@ -443,7 +433,7 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
             bounds = np.zeros(b - a + 1, np.intp)
             np.bincount(own, minlength=b - a).cumsum(out=bounds[1:])
             book.append((lo + a, lo + b, bounds, slot.astype(np.int32), res,
-                         ends, edge[exit_row]))
+                         created + cum[hit] - 1))
             created, found = created + count, found + len(hit)
             branched += len(exits)
         lo = first_id
@@ -455,7 +445,7 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
     # from the last chunk up; res -1, a path, reads 1 and -2 reads 0
     under = np.zeros(branched + 2)
     under[-1] = 1
-    for lo, hi, bounds, _, res, _, _ in reversed(book):
+    for lo, hi, bounds, _, res, _ in reversed(book):
         before = np.zeros(len(res) + 1)  # the paths under earlier pairs
         under[res].cumsum(out=before[1:])
         before = before[bounds]
@@ -463,26 +453,26 @@ def _search(blocks, s: int, edges: int, src: str, dst: str):
     # a pair's paths come after its route's first path and its earlier
     # pairs' paths, so a path's index is its pair's rank, with no sort
     first = np.zeros(branched + 2)
-    end, last = np.empty(found, np.int32), np.empty(found, np.int32)
+    end = np.empty(found, np.int32)
     slots, weights = [], []
     book.reverse()
     while book:
-        lo, hi, bounds, slot, res, ends, lasts = book.pop()
+        lo, hi, bounds, slot, res, ends = book.pop()
         u = under[res]
         before = np.zeros(len(res) + 1)
         u.cumsum(out=before[1:])
         at = (first[lo:hi] - before[bounds[:-1]]).repeat(bounds[1:] - bounds[:-1])
         at += before[:-1]
         first[res] = at  # -1 and -2 write the unused last entries
-        i = at[res == -1].astype(np.intp)
-        end[i], last[i] = ends, lasts
+        end[at[res == -1].astype(np.intp)] = ends
         slots.append(slot)
         weights.append(u)
-    # each edge's load: the paths under each slot's pairs on each edge of
-    # the way from the slot to its exit
+    # the paths through each table row: those under each slot's pairs, on
+    # the rows of the way from the slot to its exit
     per_slot = np.bincount(np.concatenate(slots), np.concatenate(weights), len(size))
-    loads = np.bincount(edge, per_slot.repeat(size + 1) * chain, edges)
-    return routes, (end, last), loads
+    through = per_slot.repeat(size + 1) * chain
+    return (routes, end, np.bincount(edge, through, len(graph.edges)),
+            np.bincount(node, through, len(graph.nodes)))
 
 
 def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
@@ -496,8 +486,8 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     offered load is the number of candidate paths crossing it times
     ``n_packets``; the per-edge serve probabilities reflect that load.  The
     table is empty when no path exists.  More than ``MAX_PATHS`` paths, or
-    routes searched, or more than ``MAX_LISTED`` node names on the paths,
-    raise :class:`TooManyPathsError`.
+    routes searched, or a ``candidates`` text of more than ``MAX_LISTED``
+    characters, raise :class:`TooManyPathsError`.
     """
     src, dst, names = traffic.source, traffic.destination, graph.nodes
     if src not in names or dst not in names:
@@ -506,21 +496,27 @@ def flood_discover(graph: NetworkGraph, traffic: TrafficSpec) -> Candidates:
     serve: list[float | None] = [None] * len(graph.edges)
     blocks = _blocks(graph.adj, s, d) if s != d else None
     if blocks is None:
-        # route 0 alone; the path from a node to itself is route 0 with last -1
+        # route 0 alone, which is the path from a node to itself
         source = tuple(np.array([v], np.int32) for v in (-1, s, -1, 0))
-        own = int(src == dst)
-        self_path = np.zeros(own, np.int32), np.full(own, -1, np.int32)
-        return Candidates(names, d, source, self_path, serve)
-    routes, paths, loads = _search(blocks, s, len(serve), src, dst)
-    end = paths[0]
-    if routes[3][end].sum(dtype=np.int64) + 2 * len(end) > MAX_LISTED:
-        raise TooManyPathsError(
-            f"more than {MAX_LISTED} node names on the paths from {src} to {dst}"
-        )
+        return Candidates(names, source, np.zeros(int(src == dst), np.int32), serve)
+    routes, end, loads, visits = _search(blocks, s, graph, traffic)
     for edge in np.flatnonzero(loads).tolist():
         load = int(loads[edge]) * traffic.n_packets
         serve[edge] = serve_probability(graph.edges[edge][2], load, traffic.packet_len)
-    return Candidates(names, d, routes, paths, serve)
+    # the candidates text as cli._write_candidates lays it out, with no
+    # pass per depth: per path 76 characters and the source's name, 4 for
+    # the array's brackets, and each probability and name after the source
+    # with its separator of 10, once per path through its edge or node;
+    # edges share few probabilities, so each is formatted once
+    prob_len = {p: len(json.dumps(p)) for p in set(serve)}
+    listed = (len(end) * (76 + len(json.dumps(src))) + 4
+              + loads @ [prob_len[p] + 10 for p in serve]
+              + visits @ [len(json.dumps(n)) + 10 for n in names])
+    if listed > MAX_LISTED:
+        raise TooManyPathsError(
+            f"more than {MAX_LISTED} characters on the paths from {src} to {dst}"
+        )
+    return Candidates(names, routes, end, serve)
 
 
 def _pick(candidates: Candidates, scores: np.ndarray) -> tuple[int, float]:
@@ -536,8 +532,8 @@ def datagram_select(candidates: Candidates) -> tuple[int, float]:
     probabilities; ties go to fewer hops, then lexicographic node order."""
     if not len(candidates):
         raise ValueError("empty path set")
-    if candidates.last[0] < 0:
-        return 0, 1  # a node to itself: math.prod of no probabilities
+    if not candidates.end[0]:
+        return 0, 1  # route 0, a node to itself: math.prod of no probabilities
     # from 1.0, left to right in edge order, so each product is rounded as
     # math.prod rounds the path's own probabilities
     return _pick(candidates, candidates.fold(np.multiply, 1.0, candidates.serve))
@@ -556,14 +552,12 @@ def vc_select(candidates: Candidates, alpha: float) -> tuple[int, float]:
         raise ValueError("empty path set")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and non-negative")
-    if candidates.last[0] < 0:
-        return 0, 0.0  # a node to itself: no hops, no logarithms
     # a zero edge's -inf makes its paths' sums -inf, minus any finite penalty
     log2 = [
         None if p is None else math.log2(p) if p > 0.0 else -math.inf
         for p in candidates.serve
     ]
-    hops = candidates.depth[candidates.end] + 1
+    hops = candidates.depth[candidates.end]
     return _pick(candidates, candidates.fold(np.add, 0.0, log2) - alpha * hops)
 
 

@@ -683,28 +683,33 @@ class TestRoute:
         assert time.perf_counter() - start < 2.0
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(2**22) in err
+        assert err.count("\n") == 1 and str(2**27) in err
 
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("valid", [True, False])
-    def test_document_size_cap(self, network_file, tmp_path, capsys, extra, valid):
-        # a document padded to the cap, or one byte past it; past it, it is
-        # refused by its size alone, whether its text is JSON or not
-        out, routed = tmp_path / "r.json", tmp_path / "routed.json"
-        assert run_cli(["route", "--network", str(network_file), "-o", str(routed)]) == 0
-        text = network_file.read_bytes() if valid else b"x"
-        network_file.write_bytes(text.ljust(cli.MAX_NETWORK_BYTES + extra))
+    @pytest.mark.parametrize("command", ["route", "simulate"])
+    def test_document_size_cap(self, small_argv, tmp_path, capsys, command, extra, valid):
+        # a network or config document padded to the cap, or one byte past
+        # it; past it, it is refused by its size alone, whether its text is
+        # JSON or not
+        argv = small_argv[command]
+        document, out, unpadded = argv[2], tmp_path / "out.json", tmp_path / "unpadded.json"
+        code = run_cli([*argv, "-o", str(unpadded)])
+        with open(document, "rb") as fh:
+            text = fh.read() if valid else b"x"
+        with open(document, "wb") as fh:
+            fh.write(text.ljust(cli.MAX_DOCUMENT_BYTES + extra))
         start = time.perf_counter()
-        code = run_cli(["route", "--network", str(network_file), "-o", str(out)])
+        padded = run_cli([*argv, "-o", str(out)])
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         if extra:
-            assert code == 64 and not out.exists()
-            assert err.count("\n") == 1 and f"larger than {cli.MAX_NETWORK_BYTES} bytes" in err
+            assert padded == 64 and not out.exists()
+            assert err.count("\n") == 1 and f"larger than {cli.MAX_DOCUMENT_BYTES} bytes" in err
         elif valid:
-            assert code == 0 and out.read_bytes() == routed.read_bytes()
+            assert padded == code == 0 and out.read_bytes() == unpadded.read_bytes()
         else:
-            assert code == 64 and "Expecting value" in err
+            assert padded == 64 and "Expecting value" in err
 
 
 class TestUsage:

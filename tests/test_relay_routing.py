@@ -1,10 +1,15 @@
+import io
 import math
+import time
+import tracemalloc
+from itertools import combinations
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from pbc_bb84 import relay_routing as rr
+import routing_reference as ref
 from routing_reference import left_sum
 
 
@@ -47,20 +52,17 @@ def table(*paths):
     source to one destination: each path a chain of routes of its own, with
     an edge id of its own for each edge."""
     names = tuple(sorted({n for nodes, _ in paths for n in nodes}))
-    ends = {nodes[-1] for nodes, _ in paths}
     source = names.index(paths[0][0][0]) if paths else 0
-    routes, found, serve = [-1, source, -1, 0], [], []
+    routes, ends, serve = [-1, source, -1, 0], [], []
     for nodes, probs in paths:
         route = 0
-        for depth, (node, p) in enumerate(zip(nodes[1:-1], probs), 1):
+        for depth, (node, p) in enumerate(zip(nodes[1:], probs), 1):
             routes += (route, names.index(node), len(serve), depth)
             route = len(routes) // 4 - 1
             serve.append(p)
-        found += (route, len(serve))
-        serve.append(probs[-1])
-    destination = names.index(ends.pop()) if ends else 0
-    return rr.Candidates(names, destination, np.array(routes).reshape(-1, 4).T,
-                         np.array(found, np.intp).reshape(-1, 2).T, serve)
+        ends.append(route)
+    return rr.Candidates(names, np.array(routes).reshape(-1, 4).T,
+                         np.array(ends, np.intp), serve)
 
 
 def node_tuples(candidates):
@@ -172,13 +174,19 @@ class TestFloodDiscover:
             rr.flood_discover(graph, traffic)
 
     def test_listed_names_limit(self, monkeypatch):
-        graph, nodes = complete_graph(7)
+        # K7 with names of 1 to 7 characters, two of which JSON escapes:
+        # the limit counts the characters of the report's candidates text
+        nodes = ["a", 'q"', "c\u00e9", "dddd", "eeeee", "ffffff", "g\tggggg"]
+        edges = [(a, b, 100 + i) for i, (a, b) in enumerate(combinations(nodes, 2))]
+        graph = rr.NetworkGraph(nodes, edges)
         expected = nx_simple_paths(graph, nodes[0], nodes[-1])
         traffic = rr.TrafficSpec(nodes[0], nodes[-1], 1, 1)
-        # at the limit every name is listed; one name more than it is refused
-        monkeypatch.setattr(rr, "MAX_LISTED", sum(map(len, expected)))
+        text = io.StringIO()
+        ref.write_candidates(text, *ref.flood_discover(graph, traffic), graph.nodes)
+        # at the limit every path is listed; one character less is refused
+        monkeypatch.setattr(rr, "MAX_LISTED", len(text.getvalue()))
         assert node_tuples(rr.flood_discover(graph, traffic)) == expected
-        monkeypatch.setattr(rr, "MAX_LISTED", sum(map(len, expected)) - 1)
+        monkeypatch.setattr(rr, "MAX_LISTED", len(text.getvalue()) - 1)
         with pytest.raises(rr.TooManyPathsError):
             rr.flood_discover(graph, traffic)
 
@@ -186,11 +194,28 @@ class TestFloodDiscover:
         graph, nodes = complete_graph(10)
         paths = rr.flood_discover(graph, rr.TrafficSpec(nodes[0], nodes[-1], 1, 1))
         # sum over k of 8!/(8-k)!, the simple paths between two K10 nodes,
-        # which list k + 2 names each
+        # which have k + 1 edges and list k + 2 names each
         assert len(paths) == 109_601 <= rr.MAX_PATHS
         through = np.bincount(paths.depth[paths.end]).tolist()
-        assert through == [math.perm(8, k) for k in range(9)]
-        assert sum((k + 2) * n for k, n in enumerate(through)) == 986_410 <= rr.MAX_LISTED
+        assert through == [0, *(math.perm(8, k) for k in range(9))]
+        assert sum((k + 1) * n for k, n in enumerate(through)) == 986_410
+
+    def test_limit_refuses_k10_with_long_names(self):
+        # K10's 986,410 names at 1,002 characters of JSON each would make
+        # about 1 GB of report; the discovery is refused before any text
+        nodes = [f"n{i}".ljust(1000, "x") for i in range(10)]
+        graph = rr.NetworkGraph(nodes, [(a, b, 100) for a, b in combinations(nodes, 2)])
+        traffic = rr.TrafficSpec(nodes[0], nodes[-1], 1, 1)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(rr.TooManyPathsError, match=f"{rr.MAX_LISTED} characters"):
+                rr.flood_discover(graph, traffic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.5
+        assert peak < 32 * 2**20
 
     def test_limit_bounds_the_search(self, monkeypatch):
         # dst hangs off the source of K7: one path, and 1,956 routes through

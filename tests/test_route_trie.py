@@ -357,10 +357,12 @@ def routes_searched(graph, src, dst):
 def assert_matches_reference(graph, traffic):
     trie = rr.flood_discover(graph, traffic)
     paths, edges, serve = ref.flood_discover(graph, traffic)
-    if paths and traffic.source != traffic.destination:
-        searched = routes_searched(
-            graph, *map(graph.nodes.index, (traffic.source, traffic.destination)))
-        assert len(trie.parent) == searched
+    s, d = map(graph.nodes.index, (traffic.source, traffic.destination))
+    # a path is a route at d, and no other route is there
+    assert (trie.node[trie.end] == d).all()
+    assert sorted(np.flatnonzero(trie.node == d)) == sorted(trie.end)
+    if paths and s != d:
+        assert len(trie.parent) == routes_searched(graph, s, d) + len(trie)
 
     assert [trie.path(i) for i in range(len(trie))] == paths
     assert [trie.edge_ids(i) for i in range(len(trie))] == edges
@@ -377,12 +379,27 @@ def assert_matches_reference(graph, traffic):
     assert first_difference(ours.getvalue(), theirs.getvalue()) is None
 
 
+@pytest.mark.parametrize("name", ["K2", "K8", "k9_seed0", "grid4x6", "chain300",
+                                  "metro_rings", "looped_ends", "subdivided_k5",
+                                  "hung_k4_40", "sparse7", "looped4"])
+def test_listed_characters_are_the_text_length(name, monkeypatch):
+    # MAX_LISTED bounds the report's candidates text to the character
+    graph, traffic = INSTANCES[name]()
+    text = io.StringIO()
+    ref.write_candidates(text, *ref.flood_discover(graph, traffic), graph.nodes)
+    monkeypatch.setattr(rr, "MAX_LISTED", len(text.getvalue()))
+    rr.flood_discover(graph, traffic)
+    monkeypatch.setattr(rr, "MAX_LISTED", len(text.getvalue()) - 1)
+    with pytest.raises(rr.TooManyPathsError):
+        rr.flood_discover(graph, traffic)
+
+
 def test_instances_reach_block_edges_and_deep_tries():
     # the path count and the most edges on a path of each
     for name, shape in (("K8", (1957, 7)), ("grid4x6", (5382, 22)),
                         ("chain300", (1, 299))):
         trie = rr.flood_discover(*INSTANCES[name]())
-        assert (len(trie), int(trie.depth[trie.end].max()) + 1) == shape
+        assert (len(trie), int(trie.depth[trie.end].max())) == shape
 
 
 def compensated_sum(values):
@@ -404,7 +421,7 @@ def test_vc_score_does_not_depend_on_python_version():
     # path 0 of the seed-0 benchmark graph: n0, n1, ..., n8, eight edges
     trie = rr.flood_discover(*benchmark_instance(0))
     log2 = [None if p is None else math.log2(p) for p in trie.serve]
-    scores = trie.fold(np.add, 0.0, log2) - 0.5 * (trie.depth[trie.end] + 1)
+    scores = trie.fold(np.add, 0.0, log2) - 0.5 * trie.depth[trie.end]
     terms = [log2[e] for e in trie.edge_ids(0)]
     assert len(terms) == 8
     assert scores[0].hex() == "-0x1.f65427aaac627p+4"
@@ -516,7 +533,7 @@ def test_long_chain_is_discovered_in_linear_time():
     trie = rr.flood_discover(graph, traffic)
     elapsed = time.perf_counter() - start
     shape = len(trie), len(trie.parent), int(trie.depth[trie.end[0]])
-    assert shape == (1, 79_999, 79_998)
+    assert shape == (1, 80_000, 79_999)
     assert elapsed < 1.5
 
 
@@ -529,5 +546,5 @@ def test_long_hung_k4_chain_is_discovered_in_linear_time():
     trie = rr.flood_discover(graph, traffic)
     elapsed = time.perf_counter() - start
     shape = len(trie), len(trie.parent), int(trie.depth[trie.end[0]])
-    assert shape == (1, 67_983, 3_998)
+    assert shape == (1, 67_984, 3_999)
     assert elapsed < 1.5
