@@ -3,12 +3,21 @@
 Bob prepares polarized pulses, a loss+flip channel stands in for the
 optics, Alice measures in random bases, and detected signals are grouped
 into 4N-signal frames.  All randomness flows from explicit seeds through
-numpy's default generator (PCG64), so identical seeds give bit-identical
-streams.  A signal is one ``RECORD`` row from Bob's preparation to his
-verdict: a pulse is a row with Bob's half filled in, a detected signal
-the same row with Alice's half added.  Frames are an ``(n_frames, 4N)``
-view of the records, classification and sifting per-frame masks.  A
-basis is an int code: 0 is rectilinear, 1 diagonal.
+numpy's PCG64, so identical seeds give bit-identical streams.  The draws
+are read from PCG64's 64-bit words as ``Generator`` reads them: a fair
+coin, ``Generator.integers(0, 2)``, is bit 31 of the next 32-bit half of
+a word, low half first, and the high half left over by an odd count goes
+to the next coin; a Bernoulli trial, ``Generator.random() < p``, takes one
+whole word.  A trial whose outcome is known (detection at p = 1, a flip at
+p = 0) skips its word with ``PCG64.advance``.  A signal is one ``RECORD``
+row from Bob's preparation to his verdict: a pulse is a row with Bob's
+half filled in, a detected signal the same row with Alice's half added.
+Loss is an i.i.d. erasure, independent of every field of a record, so
+the detected records have the same distribution at every detection
+probability; it changes only which stream positions they come from.
+Frames are an ``(n_frames, 4N)`` view of the records, classification and
+sifting per-frame masks.  A basis is an int code: 0 is rectilinear, 1
+diagonal.
 """
 
 from __future__ import annotations
@@ -34,16 +43,30 @@ RECORD = np.dtype([
 ])
 
 
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of PCG64 words, low half first, as
+    ``Generator.integers`` reads them; bit 31 of a half is one fair coin of
+    ``integers(0, 2)``."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _as_records(words: np.ndarray) -> np.ndarray:
+    """Records from their 32-bit images, ``RECORD``'s first field in the
+    low byte."""
+    return words.astype("<u4", copy=False).view(RECORD)
+
+
 def prepare_pulses(count: int, rng_seed: int) -> np.ndarray:
     """Bob's pulse train: independent fair coin flips for basis and bit,
-    as records whose Alice half is 0."""
+    as records whose Alice half is 0.
+
+    The coins are those of ``integers(0, 2, size=count)`` drawn twice, the
+    bases then the bits, from ``default_rng(rng_seed)``: ``count`` PCG64
+    words, read two coins a word."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    pulses = np.zeros(count, RECORD)
-    pulses["bob_basis"] = rng.integers(0, 2, size=count)
-    pulses["bob_bit"] = rng.integers(0, 2, size=count)
-    return pulses
+    coins = _halves(np.random.PCG64(rng_seed).random_raw(count)) >> 31
+    return _as_records(coins[:count] << 16 | coins[count:] << 24)
 
 
 def transmit_and_measure(
@@ -55,21 +78,40 @@ def transmit_and_measure(
     Alice registers it at all; Alice picks a uniform basis; a matched
     basis reproduces Bob's bit except with ``flip_prob`` (the simulated
     QBER), a mismatched basis yields a fair coin.  Undetected pulses are
-    simply absent (detection notification is implicit).  The session's
-    configuration checks both probabilities.
+    simply absent (detection notification is implicit).  Loss is an
+    i.i.d. erasure, independent of every record field, so the detected
+    records have the same distribution at every ``detection_prob``.  The
+    session's configuration checks both probabilities.
+
+    The stream is that of four ``default_rng(rng_seed)`` draws over all n
+    pulses: ``random(n) < detection_prob``, Alice's bases by
+    ``integers(0, 2)``, ``random(n) < flip_prob``, the coins by
+    ``integers(0, 2)``.  The bases and coins take n words between them,
+    ceil(n/2) before the flip draw and floor(n/2) after it.  A trial draw
+    whose outcome is known, detection at ``detection_prob == 1.0`` or a
+    flip at ``flip_prob == 0.0``, skips its n words instead of reading
+    them.
     """
     n = len(pulses)
-    rng = np.random.default_rng(rng_seed)
-    detected = np.flatnonzero(rng.random(n) < detection_prob)
-    alice = rng.integers(0, 2, size=n)[detected]
-    flips = (rng.random(n) < flip_prob)[detected]
-    coins = rng.integers(0, 2, size=n)[detected]
-
-    records = pulses[detected]
-    records["alice_basis"] = alice
-    records["outcome"] = np.where(
-        alice == records["bob_basis"], records["bob_bit"] ^ flips, coins)
-    return records
+    bits = np.random.PCG64(rng_seed)
+    random = np.random.Generator(bits).random
+    if detection_prob == 1.0:
+        bits.advance(n)
+        kept = slice(None)
+    else:
+        kept = np.flatnonzero(random(n) < detection_prob)
+    first = bits.random_raw((n + 1) // 2)
+    if flip_prob == 0.0:
+        bits.advance(n)
+        flips = 0
+    else:
+        flips = random(n)[kept] < flip_prob
+    # Alice's bases, then the coins of her mismatched bases
+    halves = _halves(np.concatenate([first, bits.random_raw(n // 2)]))
+    alice, coin = halves[:n][kept] >> 31, halves[n:][kept] >> 31
+    bob = pulses.view("<u4")[kept]
+    outcome = np.where(alice == (bob >> 16 & 1), bob >> 24 ^ flips, coin)
+    return _as_records(bob & 0xFFFF0000 | alice | outcome << 8)
 
 
 def classify_frame(frames: np.ndarray, n_quarter: int) -> np.ndarray:

@@ -333,7 +333,9 @@ def _write_candidates(stream, candidates) -> None:
     # the pieces of the text: a path's opening, an edge's probability inside
     # and at the end of its edge_probs, a node after the source, a path's close
     opening, close = '\n    {\n      "edge_probs": [\n        ', "\n      ]\n    }"
-    prob_text = [json.dumps(p) for p in candidates.serve]
+    # edges share few probabilities: format each once
+    formatted = {p: json.dumps(p) for p in set(candidates.serve)}
+    prob_text = [formatted[p] for p in candidates.serve]
     inner_text, last_text = (
         [p + s for p in prob_text] for s in (sep, '\n      ],\n      "path": [\n        '))
     # piece ids: 0 "", 1 the first opening, 2 the close of a path and the

@@ -712,6 +712,72 @@ class TestRoute:
             assert padded == 64 and "Expecting value" in err
 
 
+def complete_network(n):
+    # K_n between its first and last node: every path saturates no edge
+    nodes = [f"n{i}" for i in range(n)]
+    return {
+        "nodes": nodes,
+        "edges": [{"a": a, "b": b, "buffer_bits": 10**6}
+                  for i, a in enumerate(nodes) for b in nodes[i + 1:]],
+        "traffic": {"src": nodes[0], "dst": nodes[-1], "n_packets": 1, "packet_len": 1},
+    }
+
+
+# The child's peak is VmHWM, the high-water mark of its own address space.
+# Its ru_maxrss is no measure: Linux carries the forking process's peak
+# across exec, so a child of the test process reads at least the test
+# process's own peak.
+PEAK_CHILD = """
+import sys
+from pbc_bb84 import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+class TestRefusalMemory:
+    """A refused network document in a fresh process, its peak measured
+    against a bare ``import pbc_bb84.cli`` in the same kind of process."""
+
+    @staticmethod
+    def peak(cwd, *argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_CHILD, *argv],
+            env=dict(os.environ, PYTHONPATH=src), cwd=cwd,
+            capture_output=True, text=True, timeout=120,
+        )
+        return done.returncode, done.stderr, int(done.stdout)
+
+    @pytest.mark.parametrize("document,refusal,bound", [
+        # read up to one byte past the cap, then refused unparsed: measured
+        # 3.9 MB above the import (Python 3.11, numpy 2.4)
+        ("past_cap", "larger than", 2),
+        # the K700 network, 12.7 MB, refused as the document just past the cap
+        ("K700", "larger than", 2),
+        # K400, 4.1 MB and under the cap, is parsed, built and searched until
+        # discovery refuses it: measured 95 MB above the import
+        ("K400", "routes from n0 searched for n399", 30),
+    ])
+    def test_route_refusal_peak(self, tmp_path, document, refusal, bound):
+        if document == "past_cap":
+            text = json.dumps(complete_network(4)).ljust(cli.MAX_DOCUMENT_BYTES + 1)
+        else:
+            text = json.dumps(complete_network(int(document[1:])))
+        (tmp_path / "net.json").write_text(text)
+        assert (len(text) > cli.MAX_DOCUMENT_BYTES) == (refusal == "larger than")
+        del text
+        code, err, peak = self.peak(tmp_path, "route", "--network", "net.json", "-o", "r.json")
+        assert code == 64 and err.count("\n") == 1 and refusal in err
+        assert not (tmp_path / "r.json").exists()
+        imported = self.peak(tmp_path)
+        assert imported[:2] == (0, "")
+        assert peak < imported[2] + bound * cli.MAX_DOCUMENT_BYTES
+
+
 class TestUsage:
     def test_no_subcommand(self):
         assert run_cli([]) == 64
