@@ -13,6 +13,10 @@ paths at a time, gathered with numpy.  The ``rates`` CSV is the text
 ``csv.writer`` would write, from one array pass over the grid, a block of
 lines at a time.
 
+The parser is built once per process, on the first :func:`main` call,
+and each subcommand is looked up by name in this module at every call,
+so a function replaced on the module after the parser exists still runs.
+
 Exit codes: 0 success / Accept, 2 Reject, 3 NoCommitFrame, 64 usage
 error, an unwritable output included.  ``PBC_BB84_OUTPUT_DIR``
 overrides the directory for relative output paths.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -87,6 +92,10 @@ _RATES_BLOCK = 2**13
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    # a NaN or infinite bound would make every step NaN, and min() clamp
+    # each one to hi
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range bounds must be finite: {lo!r}, {hi!r}")
     if hi < lo:
         raise ValueError("range is inverted")
     if steps == 1:
@@ -436,7 +445,10 @@ def cmd_route(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; each subcommand's
+    ``func`` is the name of the function :func:`main` looks up."""
     parser = _Parser(prog="pbc-bb84", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -449,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-steps", type=int, default=25)
     p.add_argument("--n-quarter", type=int, default=100)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_rates)
+    p.set_defaults(func="cmd_rates")
 
     p = sub.add_parser("binding", help="binding-bound grid")
     p.add_argument("--p", type=float, nargs="+", default=[0.1])
@@ -462,29 +474,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--delta-grid", type=int, default=10_000)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_binding)
+    p.set_defaults(func="cmd_binding")
 
     p = sub.add_parser("simulate", help="run one protocol session")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser("route", help="discovery + selection on a network file")
     p.add_argument("--network", required=True)
     p.add_argument("--mode", choices=["datagram", "vc"], default="datagram")
     p.add_argument("--alpha", type=_alpha, default=0.5)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_route)
+    p.set_defaults(func="cmd_route")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the parser is built by the first call, and the
+    subcommand's function is looked up by name in this module each time."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     # each command handles the errors of reading its input, so this one
     # came from opening or writing the output
     except OSError as exc:

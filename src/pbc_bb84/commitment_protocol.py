@@ -17,7 +17,7 @@ session's commitments in one call, on their rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -298,7 +298,8 @@ class SessionConfig:
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so nothing needs asdict's deep copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def frame_batches(
@@ -315,12 +316,14 @@ def frame_batches(
     Leftover records carry over between passes so frame grouping is
     identical to a single long run.  With ``budget`` no RNG batch is drawn
     once frame ``budget`` exists, and the stream ends after frame
-    ``budget - 1``, cutting the pass that holds it.
+    ``budget - 1``, cutting the pass that holds it.  Records are joined as
+    their ``<u4`` words, since numpy joins a structured dtype field by
+    field.
     """
     seeds = np.random.SeedSequence(config.seed)
     size = 4 * config.n_quarter
     batch_pulses = max(4096, size * 64)
-    pending = np.empty(0, RECORD)
+    pending = np.empty(0, "<u4")  # records, as words
     first_id = 0
     while budget is None or first_id <= budget:
         drawn, held = [pending], len(pending)
@@ -331,10 +334,10 @@ def frame_batches(
             records = transmit_and_measure(
                 pulses, config.detection_prob, config.flip_prob, int(s_chan)
             )
-            drawn.append(records)
+            drawn.append(records.view("<u4"))
             held += len(records)
         pending = np.concatenate(drawn)
-        frames = assemble_frames(pending, config.n_quarter)
+        frames = assemble_frames(pending.view(RECORD), config.n_quarter)
         pending = pending[frames.size :]
         yield frames if budget is None else frames[: budget - first_id]
         first_id += len(frames)
@@ -404,7 +407,7 @@ def run_session(config: SessionConfig) -> dict:
         "verdict": None,
     }
     frame_ids = []  # the committing frames, in order
-    committed = []  # each pass's rows of committing frames
+    committed = []  # each pass's rows of committing frames, as words
     keys, dealt = [], 0  # each pass's dealt key bits, in frame order; their count
 
     for frames in frame_batches(config, config.frame_budget):
@@ -420,7 +423,7 @@ def run_session(config: SessionConfig) -> dict:
         keys.append(frames["outcome"][credited])
         dealt += len(keys[-1])
         frame_ids += [transcript["frames_total"] + i for i in picked]
-        committed.append(frames[picked])
+        committed.append(frames[picked].view("<u4"))
         transcript["threshold_skipped"] += skipped
         transcript["insufficient_key_aborts"] += aborts
         transcript["sifted_bits"] += int(np.count_nonzero(sifted))
@@ -444,7 +447,7 @@ def run_session(config: SessionConfig) -> dict:
             "epoch": frame_ids[-1] + max(waits.values()),
         }
 
-        rows = np.concatenate(committed)
+        rows = np.concatenate(committed).view(RECORD)
         substrings = _commit_substrings(rows, config.commit_bit)
         payloads = payload_bits(cb, substrings, config.commit_bit, config.payload_mode)
         # the session's pads in one consume per channel, commitment k's at k * L

@@ -190,6 +190,19 @@ class TestRates:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", [1, 2])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bound", ["--q-min", "--q-max", "--p-min", "--p-max"])
+    def test_non_finite_bound_refused(self, tmp_path, capsys, bound, value, steps):
+        # a NaN step would be clamped to the range's upper bound
+        out = tmp_path / "rates.csv"
+        assert run_cli([
+            "rates", f"{bound}={value}", "--q-steps", str(steps),
+            "--p-steps", str(steps), "-o", str(out),
+        ]) == 64
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     @settings(max_examples=50, deadline=None)
     @given(
         q=st.tuples(*[st.one_of(st.floats(0.0, 0.5), st.floats())] * 2),
@@ -842,6 +855,51 @@ class TestUsage:
         assert run_cli([*argv, "-o", str(out)]) == 0
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == out.read_text()
+
+
+class TestParserOnce:
+    """The parser is built by the first ``main`` call in a process and kept;
+    each call looks its subcommand up on the module by name."""
+
+    def test_module_attributes_unchanged(self, small_argv, tmp_path):
+        before = dict(vars(cli))
+        cli.build_parser.cache_clear()
+        assert run_cli([*small_argv["rates"], "-o", str(tmp_path / "r.csv")]) == 0
+        assert dict(vars(cli)) == before
+
+    def test_replaced_command_runs(self, small_argv, tmp_path, monkeypatch):
+        out = tmp_path / "r.csv"
+        assert run_cli([*small_argv["rates"], "-o", str(out)]) == 0
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "cmd_rates", lambda args: seen.append(args.command) or 5)
+            assert run_cli(small_argv["rates"]) == 5
+        assert seen == ["rates"]
+        out.unlink()
+        assert run_cli([*small_argv["rates"], "-o", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_defaults_rerun_identical(self, small_argv, tmp_path, command):
+        # the subcommand's own defaults: only its required input is given
+        argv = small_argv[command] if command in ("simulate", "route") else [command]
+        outputs = []
+        for run in range(2):
+            out = tmp_path / f"{run}.out"
+            assert run_cli([*argv, "-o", str(out)]) in (0, 2, 3)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        defaults = cli.build_parser().parse_args(["binding"])
+        assert (defaults.p, defaults.n_tol, defaults.e_tol) == (
+            [0.1], [10, 20, 40, 80, 160, 320], [0.05])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_usage_error_then_valid_call(self, small_argv, tmp_path, capsys, command):
+        assert run_cli([command, "--bogus"]) == 64
+        out = tmp_path / "out.txt"
+        assert run_cli([*small_argv[command], "-o", str(out)]) in (0, 2, 3)
+        assert capsys.readouterr().err.count("\n") == 1
+        assert out.stat().st_size > 0
 
 
 def violates_cross_field_rule(name, value):
