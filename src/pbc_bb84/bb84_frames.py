@@ -114,10 +114,23 @@ def transmit_and_measure(
     return _as_records(bob & 0xFFFF0000 | alice | outcome << 8)
 
 
+def row_counts(mask: np.ndarray) -> np.ndarray:
+    """True entries in each row of an ``(n, w)`` bool or 0/1 int8 mask, as
+    int16.
+
+    A dot product with ones: numpy reduces axis 1 of a narrow array one
+    short row at a time, so at w = 8 ``count_nonzero(axis=1)`` is about four
+    times slower.  The int16 sums are exact for w < 2^15, which a frame's
+    4N <= 4096 records meet; wider rows are refused."""
+    if mask.shape[-1] >= 2**15:
+        raise ValueError(f"rows of {mask.shape[-1]} entries overflow int16 counts")
+    return mask.view(np.int8) @ np.ones(mask.shape[-1], np.int16)
+
+
 def classify_frame(frames: np.ndarray, n_quarter: int) -> np.ndarray:
     """Commitment-candidate mask: frames with exactly 2N rectilinear
     measurements."""
-    return np.count_nonzero(frames["alice_basis"] == 0, axis=1) == 2 * n_quarter
+    return row_counts(frames["alice_basis"] == 0) == 2 * n_quarter
 
 
 def assemble_frames(records: np.ndarray, n_quarter: int) -> np.ndarray:
@@ -141,8 +154,10 @@ def distill(sifted: np.ndarray, rate: float) -> np.ndarray:
 
     A row with s sifted records credits its first floor(s * rate) sifted
     outcomes as key values (idealized hashing: the scheme's security
-    accounting is rate-level, not code-level).
+    accounting is rate-level, not code-level).  Ranks are int16, exact
+    because a frame holds at most 4N <= 4096 < 2^15 records, and half as
+    costly to accumulate as the default int64.
     """
-    rank = np.cumsum(sifted, axis=-1)
+    rank = np.cumsum(sifted, axis=-1, dtype=np.int16)
     credit = np.floor(rank[..., -1:] * rate)
     return sifted & (rank <= credit)

@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .bb84_frames import row_counts
+
 #: Payload carries the raw 2N outcome bits.
 MODE_RAW = "raw"
 #: Payload carries the codeword rank (ceil(log2 x) bits, MSB first) plus
@@ -129,7 +131,7 @@ def is_codeword(cb: Codebook, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows)
     if rows.shape[-1] != cb.length:
         raise ValueError(f"expected {cb.length} bits, got {rows.shape[-1]}")
-    balanced = np.count_nonzero(rows, axis=1) == cb.n_half
+    balanced = row_counts(rows != 0) == cb.n_half
     bound = cb.cutoff
     if bound is None:
         return balanced

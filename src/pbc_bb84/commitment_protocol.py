@@ -2,9 +2,9 @@
 trusted relays P0 and P1.
 
 A session is a deterministic single-threaded loop over protocol passes,
-blocks of frames that hold about one lossless RNG batch's worth of
-detected records (see :func:`frame_batches`).  Normal frames distill
-one-time-pad key for P0 and P1, a ledger of two counters (:func:`try_commit`);
+blocks of frames that hold about 2^16 detected records (see
+:func:`frame_batches`).  Normal frames distill one-time-pad key for P0 and
+P1, a ledger of two counters (:func:`try_commit`);
 commitment frames (whose outcome substring is a codeword) send an
 OTP-encrypted payload to each relay, and after the waiting-time schedule
 elapses the relays cross-check and Bob verifies against his ground truth.
@@ -28,6 +28,7 @@ from .bb84_frames import (
     assemble_frames,
     distill,
     prepare_pulses,
+    row_counts,
     sift_records,
     transmit_and_measure,
 )
@@ -66,6 +67,11 @@ MAX_PULSES = 2**30
 #: once, at a cost of 2N exact binomials: 0.07 s at N = 1024 and 3.3 s at
 #: 4096 (2-vCPU Xeon, Python 3.11).
 MAX_N_QUARTER = 1024
+
+#: Detected records a protocol pass gathers, or one RNG batch's pulses if
+#: that is more: large enough that per-pass numpy calls are few, small
+#: enough that a pass's arrays stay under a few MB.
+_PASS_RECORDS = 2**16
 
 
 class KeyBuffer:
@@ -168,13 +174,13 @@ def compute_verification_counts(
     for basis in (0, 1):
         disclosed = disclosure == basis
         same = disclosed & (rows["bob_basis"] == basis)
-        aligned = np.count_nonzero(disclosed, axis=1) == payloads.shape[1]
+        aligned = row_counts(disclosed) == payloads.shape[1]
         claimed = np.zeros(disclosure.shape, payloads.dtype)
         # an aligned row has exactly L disclosed positions, filled in order
         claimed[disclosed & aligned[:, None]] = payloads[aligned].ravel()
         wrong = (claimed != rows["bob_bit"]) | ~aligned[:, None]
-        counts[:, basis] = np.count_nonzero(same, axis=1)
-        counts[:, 2 + basis] = np.count_nonzero(same & wrong, axis=1)
+        counts[:, basis] = row_counts(same)
+        counts[:, 2 + basis] = row_counts(same & wrong)
     return counts
 
 
@@ -198,7 +204,7 @@ def bob_verify(
     """
     disclosure, payloads = np.asarray(disclosure), np.asarray(payloads)
     counts = compute_verification_counts(rows, disclosure, payloads)
-    aligned = np.count_nonzero(disclosure == claimed_bit, axis=1) == payloads.shape[1]
+    aligned = row_counts(disclosure == claimed_bit) == payloads.shape[1]
     passes = (
         aligned
         & (counts[:, 2 + claimed_bit] <= e_tol * n_tol)
@@ -310,11 +316,12 @@ def frame_batches(
 
     Pulses are drawn in RNG batches of ``batch_pulses``.  A pass gathers
     the detected records of as many RNG batches as it takes to hold
-    ``batch_pulses`` records (one lossless batch's worth), so a lossy
-    channel pays the per-pass work once per lossless batch of records, not
-    once per RNG batch; a lossless channel makes one pass per RNG batch.
-    Leftover records carry over between passes so frame grouping is
-    identical to a single long run.  With ``budget`` no RNG batch is drawn
+    ``max(_PASS_RECORDS, batch_pulses)`` records, so the per-pass work is
+    paid once per 2^16 records (once per RNG batch at N >= 256), however
+    lossy the channel, and a pass holds fewer records than that target
+    plus its last RNG batch's, at any budget.  Where the passes end changes
+    no output: leftover records carry over between passes so frame
+    grouping is identical to a single long run.  With ``budget`` no RNG batch is drawn
     once frame ``budget`` exists, and the stream ends after frame
     ``budget - 1``, cutting the pass that holds it.  Records are joined as
     their ``<u4`` words, since numpy joins a structured dtype field by
@@ -323,11 +330,12 @@ def frame_batches(
     seeds = np.random.SeedSequence(config.seed)
     size = 4 * config.n_quarter
     batch_pulses = max(4096, size * 64)
+    target = max(_PASS_RECORDS, batch_pulses)
     pending = np.empty(0, "<u4")  # records, as words
     first_id = 0
     while budget is None or first_id <= budget:
         drawn, held = [pending], len(pending)
-        while held < batch_pulses and (budget is None or first_id + held // size <= budget):
+        while held < target and (budget is None or first_id + held // size <= budget):
             s_prep, s_chan = seeds.spawn(1)[0].generate_state(2)
             # spawn once per RNG batch keeps seeds independent and reproducible
             pulses = prepare_pulses(batch_pulses, int(s_prep))
@@ -337,6 +345,7 @@ def frame_batches(
             drawn.append(records.view("<u4"))
             held += len(records)
         pending = np.concatenate(drawn)
+        del drawn  # the pass holds its records once, joined
         frames = assemble_frames(pending.view(RECORD), config.n_quarter)
         pending = pending[frames.size :]
         yield frames if budget is None else frames[: budget - first_id]
@@ -365,8 +374,8 @@ def commit_masks(
     eligible = candidate.copy()
     substrings = _commit_substrings(frames[candidate], config.commit_bit)
     eligible[candidate] = is_codeword(cb, substrings)
-    n_rect = np.count_nonzero(sifted & (alice == 0), axis=1)
-    n_diag = np.count_nonzero(sifted & (alice == 1), axis=1)
+    n_rect = row_counts(sifted & (alice == 0))
+    n_diag = row_counts(sifted & (alice == 1))
     countable = (n_rect >= config.n_tol) & (n_diag >= config.n_tol)
     return candidate, eligible, countable
 
@@ -415,7 +424,7 @@ def run_session(config: SessionConfig) -> dict:
         candidate, eligible, countable = commit_masks(frames, sifted, config, cb)
         credited = distill(sifted, rate)
         picked, skipped, aborts = try_commit(
-            np.flatnonzero(eligible), countable, np.count_nonzero(credited, axis=1),
+            np.flatnonzero(eligible), countable, row_counts(credited),
             dealt, len(frame_ids), length, config.commit_all,
         )
         # a committing frame's records are neither sifted bits nor key

@@ -558,7 +558,10 @@ def vc_select(candidates: Candidates, alpha: float) -> tuple[int, float]:
         for p in candidates.serve
     ]
     hops = candidates.depth[candidates.end]
-    return _pick(candidates, candidates.fold(np.add, 0.0, log2) - alpha * hops)
+    # a penalty past the float range is inf, so its path scores -inf
+    with np.errstate(over="ignore"):
+        penalty = alpha * hops
+    return _pick(candidates, candidates.fold(np.add, 0.0, log2) - penalty)
 
 
 def reserve_circuit(

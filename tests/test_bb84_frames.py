@@ -191,6 +191,15 @@ class TestMatchesReference:
     """The array pipeline against the per-object loops it replaced, frame by
     frame, across RNG-batch and pass boundaries and the frame-budget cut."""
 
+    # budgets past one pass of 2^16 records
+    MULTI_PASS = [
+        # 72,000 records: 2^16 records are not whole 12-record frames, so
+        # the second pass starts with leftovers
+        (cp.SessionConfig(seed=12, n_quarter=3, x=20), 6000),
+        # 40% detection: a pass merges 40 RNG batches; 20,000 cuts the second
+        (cp.SessionConfig(seed=13, n_quarter=1, x=2, detection_prob=0.4,
+                          flip_prob=0.03, q_tol=0.03), 20_000),
+    ]
     CONFIGS = [
         # 10% detection: every RNG batch ends mid-frame, records carry over
         (cp.SessionConfig(seed=5, detection_prob=0.1, flip_prob=0.05, q_tol=0.02), 600),
@@ -199,9 +208,9 @@ class TestMatchesReference:
         (cp.SessionConfig(seed=6, flip_prob=0.02, q_tol=0.01), 700),
         (cp.SessionConfig(seed=7), 1024),
         (cp.SessionConfig(seed=8, n_quarter=3, x=20, detection_prob=0.3), 300),
-        # 5% detection: a pass merges about 20 RNG batches; 1300 cuts the
-        # third pass
+        # 5% detection: 1300 frames take about 51 RNG batches, one pass
         (cp.SessionConfig(seed=9, detection_prob=0.05), 1300),
+        *MULTI_PASS,
     ]
 
     @pytest.mark.parametrize("config,budget", CONFIGS)
@@ -238,9 +247,10 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("config,budget", CONFIGS)
     def test_pass_holds_a_lossless_batch(self, config, budget, monkeypatch):
-        # a pass draws RNG batches until it holds batch_pulses records and
-        # frames all but fewer than 4N of them, so it ends up with fewer
-        # than batch_pulses records plus its last RNG batch's
+        # a pass draws RNG batches until it holds the pass target,
+        # max(2^16, batch_pulses) records, and frames all but fewer than 4N
+        # of them, so it ends up with fewer than the target plus its last
+        # RNG batch's records
         drawn = _counting(cp, "prepare_pulses", monkeypatch)
         detected = []
         measure = cp.transmit_and_measure
@@ -251,17 +261,30 @@ class TestMatchesReference:
             return records
 
         monkeypatch.setattr(cp, "transmit_and_measure", measured)
-        framed = [frames.size for frames in cp.frame_batches(config, budget)]
-        batch_pulses = drawn[0][0]
-        assert min(framed[:-1], default=batch_pulses) >= batch_pulses - (4 * config.n_quarter - 1)
-        assert max(framed) < batch_pulses + max(detected)
+        framed, last = [], []
+        for frames in cp.frame_batches(config, budget):
+            framed.append(frames.size)
+            last.append(detected[-1])
+        target = max(cp._PASS_RECORDS, drawn[0][0])
+        assert min(framed[:-1], default=target) >= target - (4 * config.n_quarter - 1)
+        assert all(size < target + batch for size, batch in zip(framed, last))
 
     @pytest.mark.parametrize("config,budget", [
-        *(c for c in CONFIGS if c[0].detection_prob == 1.0),
+        *(c for c in CONFIGS[:5] if c[0].detection_prob == 1.0),
         # 4096 records are not whole 12-record frames: leftovers carry over
         (cp.SessionConfig(seed=7, n_quarter=3, x=20), 1000),
+        *(c for c in MULTI_PASS if c[0].detection_prob == 1.0),
     ])
     def test_lossless_pass_per_rng_batch(self, config, budget, monkeypatch):
+        # a lossless RNG batch detects all its batch_pulses pulses and a
+        # pass carries over fewer than 4N records, so every pass but the
+        # budget-cut last draws exactly ceil(target / batch_pulses) batches
         drawn = _counting(cp, "prepare_pulses", monkeypatch)
-        passes = list(cp.frame_batches(config, budget))
-        assert len(passes) == len(drawn) > 1
+        per_pass = []
+        for _ in cp.frame_batches(config, budget):
+            per_pass.append(len(drawn) - sum(per_pass))
+        batch_pulses = drawn[0][0]
+        full = -(-max(cp._PASS_RECORDS, batch_pulses) // batch_pulses)
+        assert per_pass[:-1] == [full] * (len(per_pass) - 1)
+        assert 1 <= per_pass[-1] <= full
+        assert len(per_pass) > 1 or budget * 4 * config.n_quarter <= full * batch_pulses

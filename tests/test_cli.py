@@ -8,12 +8,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import fields
 from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pbc_bb84 import cli
@@ -631,9 +632,15 @@ class TestRoute:
         alpha=st.one_of(
             st.none(), st.floats(0.0, 10.0).map(repr), st.floats().map(repr),
             st.text(max_size=4),
-            st.sampled_from(["1e400", "-0", "0x1", " 2 ", "nan\n"]),
+            st.sampled_from(["1e400", "-0", "0x1", " 2 ", "nan\n", "1e308"]),
         ),
     )
+    # a two-hop path's penalty past the float range
+    @example(doc={
+        "nodes": ["A", "B", "C"],
+        "edges": [{"a": "A", "b": "B", "buffer_bits": 9}, {"a": "B", "b": "C", "buffer_bits": 9}],
+        "traffic": {"src": "A", "dst": "C", "n_packets": 1, "packet_len": 1},
+    }, mode="vc", alpha="1e308")
     def test_fuzz_exit_codes(self, doc, mode, alpha):
         # every accepted document and argument list ends in a schema-valid
         # report, or in exit 64 with one line; an exception would fail here
@@ -644,7 +651,8 @@ class TestRoute:
             argv = ["route", "--network", net, f"--mode={mode}", "-o", out]
             err = io.StringIO()
             start = time.perf_counter()
-            with contextlib.redirect_stderr(err):
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = run_cli(argv if alpha is None else [*argv, f"--alpha={alpha}"])
             assert time.perf_counter() - start < 2.0
             assert code in (0, 64)
@@ -652,6 +660,8 @@ class TestRoute:
                 assert err.getvalue().count("\n") == 1
                 assert not os.path.exists(out)
             else:
+                # a report is the whole output: no warning beside it
+                assert not caught, [str(w.message) for w in caught]
                 with open(out) as fh:
                     jsonschema.validate(json.load(fh), REPORT_SCHEMA)
 

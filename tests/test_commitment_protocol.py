@@ -472,7 +472,8 @@ class TestRunSession:
         calls = []
         unrank = codebook.unrank
         monkeypatch.setattr(codebook, "unrank", lambda *args: calls.append(args) or unrank(*args))
-        config = SessionConfig(x=5, frame_budget=3000, commit_all=True)
+        # 80,000 records: two protocol passes
+        config = SessionConfig(x=5, frame_budget=10_000, commit_all=True)
         assert len(list(proto.frame_batches(config, config.frame_budget))) > 1
         assert len(run_session(config)["commitments"]) > 1
         assert calls == [(2, 5)]

@@ -17,6 +17,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -195,3 +196,16 @@ def test_network_reaches_its_case(name, tmp_path):
     network, argv, _, _ = GOLDEN[name]
     _, data = route(tmp_path, NETWORKS[network](), argv)
     assert REACHES[name](json.loads(data))
+
+
+@pytest.mark.parametrize("alpha", ["1e308", "1.7976931348623157e308"])
+def test_alpha_past_the_float_range(alpha, tmp_path):
+    # alpha * hops overflows to inf on every path of two or more hops, which
+    # then scores -inf; the direct edge n0-n8 keeps 0 - alpha, and no
+    # warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = route(tmp_path, benchmark_network(0), ["--mode", "vc", "--alpha", alpha])
+    assert code == 0
+    chosen = json.loads(data)["chosen"]
+    assert chosen["path"] == ["n0", "n8"] and chosen["score"] == -float(alpha)
