@@ -154,10 +154,11 @@ def distill(sifted: np.ndarray, rate: float) -> np.ndarray:
 
     A row with s sifted records credits its first floor(s * rate) sifted
     outcomes as key values (idealized hashing: the scheme's security
-    accounting is rate-level, not code-level).  Ranks are int16, exact
-    because a frame holds at most 4N <= 4096 < 2^15 records, and half as
-    costly to accumulate as the default int64.
+    accounting is rate-level, not code-level).  Ranks and credits are
+    int16, exact because a frame holds at most 4N <= 4096 < 2^15 records:
+    a rank is half as costly to accumulate as the default int64, and
+    comparing it with an int16 credit makes no float64 copy of the ranks.
     """
     rank = np.cumsum(sifted, axis=-1, dtype=np.int16)
-    credit = np.floor(rank[..., -1:] * rate)
+    credit = np.floor(rank[..., -1:] * rate).astype(np.int16)
     return sifted & (rank <= credit)

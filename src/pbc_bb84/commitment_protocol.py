@@ -321,11 +321,11 @@ def frame_batches(
     lossy the channel, and a pass holds fewer records than that target
     plus its last RNG batch's, at any budget.  Where the passes end changes
     no output: leftover records carry over between passes so frame
-    grouping is identical to a single long run.  With ``budget`` no RNG batch is drawn
-    once frame ``budget`` exists, and the stream ends after frame
-    ``budget - 1``, cutting the pass that holds it.  Records are joined as
-    their ``<u4`` words, since numpy joins a structured dtype field by
-    field.
+    grouping is identical to a single long run.  With ``budget`` no RNG
+    batch is drawn once frame ``budget`` exists, and the stream ends after
+    frame ``budget - 1``, cutting the pass that holds it.  Records are
+    joined as their ``<u4`` words, since numpy joins a structured dtype
+    field by field.
     """
     seeds = np.random.SeedSequence(config.seed)
     size = 4 * config.n_quarter

@@ -105,7 +105,7 @@ GOLDEN = {
         {"seed": 12, "frame_budget": 300, "n_tol": 3}, 0,
         "55fd8c23a7ea12eb42498e496f6ff4db48c6b12acf6914960f3a0acb7c0a8bc1",
     ),
-    # 24 RNG batches in two protocol passes, with 7 insufficient-key aborts
+    # 24 RNG batches in one protocol pass, with 7 insufficient-key aborts
     # and 40 threshold skips among them; computed with one pass per RNG batch
     "lossy_key_aborts": (
         {"seed": 13, "frame_budget": 600, "commit_all": True,
