@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from . import math_core, relay_routing
-from .commitment_protocol import SessionConfig, run_session
+from .commitment_protocol import CHANNELS, COUNT_FIELDS, VERDICTS, SessionConfig, run_session
 
 EXIT_OK = 0
 EXIT_REJECT = 2
@@ -201,79 +201,86 @@ def _write_spliced(stream, text: str, key: str, write_value, value) -> None:
     stream.write(tail + "\n")
 
 
-#: A commitment of the transcript, one of its messages and its counts, as
-#: ``json.dump(..., indent=2, sort_keys=True)`` lays them out in the
-#: ``commitments`` array.
+#: A consistent commitment's counts, keys sorted, as ``json.dump(...,
+#: indent=2, sort_keys=True)`` lays them out, and their columns in order.
+_COUNTS = "{%s\n      }" % ",".join(f'\n        "{key}": %d' for key in sorted(COUNT_FIELDS))
+_COUNT_ORDER = sorted(range(len(COUNT_FIELDS)), key=COUNT_FIELDS.__getitem__)
+
+#: A commitment, after the comma that precedes it, and one of its messages,
+#: as json lays them out in the ``commitments`` array; ``_COMMITMENTS``
+#: holds an inconsistent commitment's template and a consistent one's.
 _COMMITMENT = (
-    '{\n      "counts": %s,\n      "frame_id": %s,\n      "messages": [\n'
+    ',\n    {\n      "counts": %s,\n      "frame_id": %%d,\n      "messages": [\n'
     '        %s,\n        %s\n      ],\n      "relay_consistent": %s,\n'
-    '      "verdict": "%s"\n    }'
+    '      "verdict": "%%s"\n    }'
 )
 _MESSAGE = (
-    '{\n          "channel": "%(channel)s",\n'
-    '          "ciphertext_hex": "%(ciphertext_hex)s",\n'
-    '          "key_offset": %(key_offset)s,\n          "length": %(length)s\n        }'
+    '{\n          "channel": "%s",\n          "ciphertext_hex": "%%s",\n'
+    '          "key_offset": %%d,\n          "length": %%d\n        }'
 )
-_COUNTS = (
-    '{\n        "n_diag": %(n_diag)s,\n        "n_err_diag": %(n_err_diag)s,\n'
-    '        "n_err_rect": %(n_err_rect)s,\n        "n_rect": %(n_rect)s\n      }'
+_COMMITMENTS = tuple(
+    _COMMITMENT % (counts, *(_MESSAGE % ch for ch in CHANNELS), flag)
+    for counts, flag in (("null", "false"), (_COUNTS, "true"))
 )
 
+#: The two ``schedule.send_times`` entries of a frame id, ``{0}``.
+_SEND_TIMES = ",\n      ".join(f'"{{0}}:{ch}": {{0}}' for ch in CHANNELS)
 
-def _write_commitments(stream, commitments: list) -> None:
+
+def _write_commitments(stream, commitments) -> None:
     """Write the transcript's ``commitments`` array as ``json.dump(...,
-    indent=2, sort_keys=True)`` lays it out, one template per commitment.
+    indent=2, sort_keys=True)`` lays it out, from the columns of a
+    :class:`Commitments`, one chunk of rows at a time.
 
-    The templates hold the commitments :func:`run_session` makes: integers,
-    a boolean, counts or None, and strings that JSON writes as they are (a
-    channel, lowercase hex, a verdict name)."""
-    if not commitments:
+    Commitment k's key offset is ``k * length`` on both channels.  A chunk
+    fills its rows' templates with one ``%`` from an object array of their
+    fields, each channel's ciphertexts hexed at once and cut at a fixed
+    width; an inconsistent row's counts are left out."""
+    n, length = len(commitments.frame_id), commitments.length
+    if not n:
         stream.write("[]")
         return
-    lead = "[\n    "
-    chunk, size = [], 0
-    for c in commitments:
-        counts = c["counts"]
-        m0, m1 = c["messages"]
-        text = lead + _COMMITMENT % (
-            "null" if counts is None else _COUNTS % counts,
-            c["frame_id"],
-            _MESSAGE % m0,
-            _MESSAGE % m1,
-            "true" if c["relay_consistent"] else "false",
-            c["verdict"],
-        )
-        chunk.append(text)
-        size += len(text)
-        if size >= _CHUNK:
-            stream.write("".join(chunk))
-            chunk, size = [], 0
-        lead = ",\n    "
-    chunk.append("\n  ]")
-    stream.write("".join(chunk))
+    width = 2 * commitments.ciphertexts[0].shape[1]  # hex digits of a ciphertext
+    rows = max(1, _CHUNK // (len(_COMMITMENTS[1]) + 2 * width))
+    verdicts = np.array(VERDICTS, object)
+    stream.write("[")
+    for start in range(0, n, rows):
+        part = slice(start, start + rows)
+        consistent = commitments.consistent[part]
+        fields = np.empty((len(consistent), 12), object)
+        fields[:, :4] = commitments.counts[part][:, _COUNT_ORDER]
+        fields[:, 4] = commitments.frame_id[part]
+        for col, ciphertexts in zip((5, 8), commitments.ciphertexts):
+            hexed = ciphertexts[part].tobytes().hex()
+            fields[:, col] = [hexed[i:i + width] for i in range(0, len(hexed), width)]
+            fields[:, col + 1] = np.arange(start, start + len(consistent)) * length
+            fields[:, col + 2] = length
+        fields[:, 11] = verdicts[commitments.code[part]]
+        kept = np.ones(fields.shape, bool)
+        kept[~consistent, :4] = False
+        text = "".join(map(_COMMITMENTS.__getitem__, consistent.tolist())) % tuple(
+            fields[kept].tolist())
+        stream.write(text if start else text[1:])  # no comma before the first
+    stream.write("\n  ]")
 
 
 def _write_transcript(stream, transcript: dict) -> None:
     """Write a :func:`run_session` transcript and a newline, byte for byte
-    as ``json.dump(..., indent=2, sort_keys=True)`` lays it out: the
-    commitments from templates, into their slot, and ``schedule.send_times``
-    by json's C encoder."""
-    doc = dict(transcript, commitments=[])
-    schedule = transcript["schedule"]
-    if schedule is None:
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        doc["schedule"] = dict(schedule, send_times={})
-        # send_times' values are numbers, so the C encoder lays it out with
-        # a line break in each separator; only its brackets are moved.  A
-        # key of a top-level object starts a line with four spaces.
-        flat = json.dumps(schedule["send_times"], separators=(",\n      ", ": "),
-                          sort_keys=True)
-        text = json.dumps(doc, indent=2, sort_keys=True).replace(
-            '\n    "send_times": {}',
-            '\n    "send_times": {\n      ' + flat[1:-1] + "\n    }", 1)
-    _write_spliced(stream, text, "commitments", _write_commitments,
-                   transcript["commitments"])
+    as ``json.dump(..., indent=2, sort_keys=True)`` lays out the document
+    it stands for: the commitments from templates, into their slot, and
+    ``schedule.send_times``, one key per frame id and relay, from the
+    commitments' frame ids."""
+    commitments = transcript["commitments"]
+    text = json.dumps(dict(transcript, commitments=[]), indent=2, sort_keys=True)
+    if transcript["schedule"] is not None:
+        # json sorts the keys "<frame id>:<channel>" as strings, and ":"
+        # sorts after every digit.  send_times sorts between the schedule's
+        # epoch and waits, whose key alone starts a line with four spaces.
+        ids = sorted(map(str, commitments.frame_id.tolist()), key=lambda s: s + ":")
+        text = text.replace('\n    "waits": ', '\n    "send_times": {\n      '
+                            + ",\n      ".join(map(_SEND_TIMES.format, ids))
+                            + '\n    },\n    "waits": ', 1)
+    _write_spliced(stream, text, "commitments", _write_commitments, commitments)
 
 
 def cmd_simulate(args) -> int:

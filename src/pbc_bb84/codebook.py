@@ -10,7 +10,6 @@ integers, so codebooks beyond the float range (N > 30) still work.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -188,20 +187,11 @@ def decode_payload(cb: Codebook, payloads: np.ndarray, mode: str = MODE_RAW) -> 
     return np.array(codewords, np.int64).reshape(-1, cb.length)
 
 
-def pack_bits(rows: np.ndarray) -> list[bytes]:
-    """Serialize each row of an ``(n, L)`` bit array: 4-byte little-endian
-    length in bits, then packed bytes with bit i stored at byte i//8,
-    LSB-first within a byte."""
+def pack_bits(rows: np.ndarray) -> np.ndarray:
+    """Serialize each row of an ``(n, L)`` bit array as a row of an ``(n, 4
+    + ceil(L/8))`` uint8 array: 4-byte little-endian length in bits, then
+    packed bytes with bit i stored at byte i//8, LSB-first within a byte."""
     rows = np.asarray(rows)
-    prefix = struct.pack("<I", rows.shape[1])
-    return [prefix + row.tobytes() for row in np.packbits(rows, axis=1, bitorder="little")]
-
-
-def unpack_bits(data: bytes) -> Bits:
-    """Inverse of :func:`pack_bits`."""
-    if len(data) < 4:
-        raise ValueError("truncated bit sequence")
-    (n,) = struct.unpack("<I", data[:4])
-    if len(data) != 4 + (n + 7) // 8:
-        raise ValueError("bit sequence length prefix does not match payload")
-    return tuple((data[4 + i // 8] >> (i % 8)) & 1 for i in range(n))
+    prefix = np.array([rows.shape[1]], "<u4").view(np.uint8)
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return np.concatenate((np.broadcast_to(prefix, (len(rows), 4)), packed), axis=1)

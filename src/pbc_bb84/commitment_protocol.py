@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .codebook import (
 
 CHANNEL_P0 = "p0"
 CHANNEL_P1 = "p1"
+CHANNELS = (CHANNEL_P0, CHANNEL_P1)
 
 
 class InsufficientKeyError(Exception):
@@ -380,11 +381,25 @@ def commit_masks(
     return candidate, eligible, countable
 
 
+class Commitments(NamedTuple):
+    """A session's commitments as columns, row k for commitment k, whose
+    pad starts at ``k * length`` on both channels."""
+
+    frame_id: np.ndarray  # (n,) int64, increasing
+    consistent: np.ndarray  # (n,) bool: the relays' decrypted payloads agree
+    code: np.ndarray  # (n,) verdict codes, see VERDICTS
+    counts: np.ndarray  # (n, 4), see COUNT_FIELDS; zero where not consistent
+    ciphertexts: tuple[np.ndarray, np.ndarray]  # each channel's pack_bits rows
+    length: int  # payload bits L
+
+
 def run_session(config: SessionConfig) -> dict:
     """Run one full session: preparation, commitment, unveiling, verdict.
 
     Returns the transcript, everything observable about the session, as
-    the document ``transcript.schema.json`` describes.
+    the document ``transcript.schema.json`` describes, but that
+    ``commitments`` is a :class:`Commitments` and ``schedule`` holds no
+    ``send_times``: ``cli`` writes both from the columns.
 
     The first commit-eligible frame (candidate, codeword substring, count
     thresholds satisfiable, sufficient pad) carries the commitment; with
@@ -410,7 +425,6 @@ def run_session(config: SessionConfig) -> dict:
         "threshold_skipped": 0,
         "insufficient_key_aborts": 0,
         "sifted_bits": 0,
-        "commitments": [],
         "schedule": None,
         "status": "no_commit_frame",
         "verdict": None,
@@ -439,72 +453,51 @@ def run_session(config: SessionConfig) -> dict:
         transcript["frames_total"] += len(frames)
         transcript["candidate_frames"] += int(np.count_nonzero(candidate))
         transcript["eligible_frames"] += int(np.count_nonzero(eligible))
+    del frames, sifted, candidate, eligible, countable, credited, picked
 
     key = np.concatenate(keys)
     buffers = {CHANNEL_P0: KeyBuffer(), CHANNEL_P1: KeyBuffer()}
     buffers[CHANNEL_P0].extend(key[0::2])
     buffers[CHANNEL_P1].extend(key[1::2])
 
-    # Unveiling: waiting-time schedule, relay cross-check, Bob's verdict.
+    # Unveiling: relay cross-check and Bob's verdict, on no rows if none
+    rows = np.concatenate(committed).view(RECORD)
+    substrings = _commit_substrings(rows, config.commit_bit)
+    payloads = payload_bits(cb, substrings, config.commit_bit, config.payload_mode)
+    # the session's pads in one consume per channel, commitment k's at k * L
+    spend = len(frame_ids) * length
+    offsets = [range(b.consume(spend), spend, length) for b in buffers.values()]
+    pads = list(zip(buffers.values(), offsets))
+    # Alice's ciphertexts, one per relay; a tamper flips a bit of the
+    # first commitment's P1 copy
+    cts = [payloads ^ buffer.peek(off, length) for buffer, off in pads]
+    if config.tamper_p1_bit is not None:
+        cts[1][:1, config.tamper_p1_bit] ^= 1
+    dec0, dec1 = (otp_decrypt(ct, *pad) for ct, pad in zip(cts, pads))
+    # Bob's cross-check of the relays' decrypted payloads rejects a mismatch
+    consistent = (dec0 == dec1).all(axis=1)
+    code, counts = np.full(len(rows), 2), np.zeros((len(rows), 4), np.int64)
+    rows = rows[consistent]
+    code[consistent], counts[consistent] = bob_verify(
+        rows, rows["alice_basis"],
+        decode_payload(cb, dec0[consistent], config.payload_mode),
+        config.n_tol, config.e_tol, config.commit_bit,
+    )
+    transcript["commitments"] = Commitments(
+        np.array(frame_ids, np.int64), consistent, code, counts,
+        tuple(pack_bits(ct) for ct in cts), length)
+
     if frame_ids:
         waits = {CHANNEL_P0: config.wait_p0, CHANNEL_P1: config.wait_p1}
+        # every unveiling lands on one epoch, after the last wait ends
         transcript["schedule"] = {
-            "waits": waits,
-            # each commitment goes to both relays in its own frame
-            "send_times": {f"{fid}:{ch}": fid for fid in frame_ids for ch in waits},
-            # every unveiling lands on one epoch, after the last wait ends
-            "epoch": frame_ids[-1] + max(waits.values()),
-        }
-
-        rows = np.concatenate(committed).view(RECORD)
-        substrings = _commit_substrings(rows, config.commit_bit)
-        payloads = payload_bits(cb, substrings, config.commit_bit, config.payload_mode)
-        # the session's pads in one consume per channel, commitment k's at k * L
-        spend = len(frame_ids) * length
-        offsets = [range(b.consume(spend), spend, length) for b in buffers.values()]
-        pads = list(zip(buffers.values(), offsets))
-        # Alice's ciphertexts, one per relay; a tamper flips a bit of the
-        # first commitment's P1 copy
-        cts = [payloads ^ buffer.peek(off, length) for buffer, off in pads]
-        if config.tamper_p1_bit is not None:
-            cts[1][0, config.tamper_p1_bit] ^= 1
-        dec0, dec1 = (otp_decrypt(ct, *pad) for ct, pad in zip(cts, pads))
-        # Bob's cross-check of the two relays' decrypted payloads
-        consistent = (dec0 == dec1).all(axis=1)
-        rows = rows[consistent]
-        codes, counts = bob_verify(
-            rows, rows["alice_basis"],
-            decode_payload(cb, dec0[consistent], config.payload_mode),
-            config.n_tol, config.e_tol, config.commit_bit,
-        )
-
-        verified = zip(codes.tolist(), counts.tolist())
-        hexes = [[packed.hex() for packed in pack_bits(ct)] for ct in cts]
-        for k, ok in enumerate(consistent.tolist()):
-            code, row = next(verified) if ok else (2, None)
-            transcript["commitments"].append({
-                "frame_id": frame_ids[k],
-                "messages": [
-                    {
-                        "channel": ch,
-                        "key_offset": off[k],
-                        "length": length,
-                        "ciphertext_hex": hx[k],
-                    }
-                    for ch, off, hx in zip(buffers, offsets, hexes)
-                ],
-                "relay_consistent": ok,
-                "verdict": VERDICTS[code],
-                "counts": None if row is None else dict(zip(COUNT_FIELDS, row)),
-            })
-
-        verdict = transcript["verdict"] = transcript["commitments"][0]["verdict"]
-        accepted = verdict == VERDICTS[config.commit_bit]
-        transcript["status"] = "accept" if accepted else "reject"
+            "waits": waits, "epoch": frame_ids[-1] + max(waits.values())}
+        transcript["verdict"] = VERDICTS[code[0]]
+        transcript["status"] = "accept" if code[0] == config.commit_bit else "reject"
 
     transcript["key_ledger"] = {
         ch: {"generated": buffers[ch].total, "consumed": buffers[ch].consumed}
-        for ch in (CHANNEL_P0, CHANNEL_P1)
+        for ch in CHANNELS
     }
     return transcript
 

@@ -29,6 +29,8 @@ from pbc_bb84 import commitment_protocol as cp
 from pbc_bb84 import math_core as mc
 from pbc_bb84 import relay_routing as rr
 from pbc_bb84.bb84_frames import classify_frame
+from test_codebook import unpack_bits
+from transcript_reference import document
 
 
 def report(number, ok, detail):
@@ -226,9 +228,9 @@ def test_06_protocol_completeness():
         )
         if honest["status"] == "accept":
             accepts += 1
-        tampered = cp.run_session(
+        tampered = document(cp.run_session(
             cp.SessionConfig(seed=seed, frame_budget=400, tamper_p1_bit=0)
-        )
+        ))
         if tampered["status"] == "reject" and not tampered["commitments"][0][
             "relay_consistent"
         ]:
@@ -244,9 +246,9 @@ def test_06_protocol_completeness():
 
 def test_07_otp_discipline():
     start = time.perf_counter()
-    transcript = cp.run_session(
+    transcript = document(cp.run_session(
         cp.SessionConfig(seed=7, frame_budget=1000, commit_all=True)
-    )
+    ))
     intervals = {cp.CHANNEL_P0: [], cp.CHANNEL_P1: []}
     for entry in transcript["commitments"]:
         for msg in entry["messages"]:
@@ -279,16 +281,16 @@ def test_08_concealment_chi_square():
     worst_p = 1.0
     counts_seen = []
     for bit in (0, 1):
-        transcript = cp.run_session(
+        transcript = document(cp.run_session(
             cp.SessionConfig(
                 seed=8, frame_budget=220_000, commit_all=True, commit_bit=bit
             )
-        )
+        ))
         bits = []
         for entry in transcript["commitments"]:
             msg = entry["messages"][0]
             assert msg["channel"] == cp.CHANNEL_P0
-            bits.extend(cbk.unpack_bits(bytes.fromhex(msg["ciphertext_hex"])))
+            bits.extend(unpack_bits(bytes.fromhex(msg["ciphertext_hex"])))
         assert len(transcript["commitments"]) >= 10_000
         ones = sum(bits)
         counts_seen.append((bit, len(transcript["commitments"]), ones, len(bits)))

@@ -1,4 +1,5 @@
 import math
+import struct
 from itertools import combinations, product
 
 import numpy as np
@@ -178,21 +179,34 @@ class TestPayload:
                 cbk.decode_payload(cb, payload, cbk.MODE_COMPRESSED)
 
 
+def unpack_bits(data: bytes) -> tuple[int, ...]:
+    """Inverse of ``codebook.pack_bits`` on one row's bytes."""
+    if len(data) < 4:
+        raise ValueError("truncated bit sequence")
+    (n,) = struct.unpack("<I", data[:4])
+    if len(data) != 4 + (n + 7) // 8:
+        raise ValueError("bit sequence length prefix does not match payload")
+    return tuple((data[4 + i // 8] >> (i % 8)) & 1 for i in range(n))
+
+
 class TestSerialization:
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=64))
     def test_round_trip(self, bits):
         seq = tuple(bits)
         rows = np.array([seq, seq[::-1]], np.int64).reshape(2, len(seq))
         packed = cbk.pack_bits(rows)
-        assert [cbk.unpack_bits(data) for data in packed] == [seq, seq[::-1]]
+        assert packed.dtype == np.uint8 and packed.shape == (2, 4 + (len(seq) + 7) // 8)
+        assert [unpack_bits(row.tobytes()) for row in packed] == [seq, seq[::-1]]
 
     def test_layout(self):
         # 4-byte little-endian bit count, then LSB-first packed bits
         data = cbk.pack_bits([[1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, 0, 0]])
-        assert data == [b"\x09\x00\x00\x00\x01\x01", b"\x09\x00\x00\x00\x02\x00"]
-        assert cbk.pack_bits(np.zeros((0, 3), np.int64)) == []
+        assert [row.tobytes() for row in data] == [
+            b"\x09\x00\x00\x00\x01\x01", b"\x09\x00\x00\x00\x02\x00"]
+        assert data.tobytes().hex() == "090000000101090000000200"
+        assert cbk.pack_bits(np.zeros((0, 3), np.int64)).shape == (0, 5)
 
     def test_truncation_detected(self):
         [data] = cbk.pack_bits([[1, 0, 1]])
         with pytest.raises(ValueError):
-            cbk.unpack_bits(data[:-1])
+            unpack_bits(data.tobytes()[:-1])

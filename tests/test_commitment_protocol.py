@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import codebook_reference
 import frame_reference as ref
 import ledger_reference
+from test_codebook import unpack_bits
+from transcript_reference import document
 from pbc_bb84 import codebook, math_core
 from pbc_bb84.bb84_frames import RECORD, FrameClass, distill, sift_records
 from pbc_bb84.codebook import Codebook, MODE_COMPRESSED
@@ -231,7 +233,7 @@ class TestMatchesLedgerReference:
         records, skipped, aborts, buffers = ledger_reference.run_ledger(
             passes, length, config.commit_all)
 
-        transcript = run_session(config)
+        transcript = document(run_session(config))
         assert [
             (c["frame_id"], *(m["key_offset"] for m in c["messages"]))
             for c in transcript["commitments"]
@@ -280,7 +282,7 @@ class TestRelayConsistency:
     CONFIG = dict(seed=9, frame_budget=500, commit_all=True)
 
     def test_identical(self):
-        transcript = run_session(SessionConfig(**self.CONFIG))
+        transcript = document(run_session(SessionConfig(**self.CONFIG)))
         assert len(transcript["commitments"]) > 1
         assert all(c["relay_consistent"] for c in transcript["commitments"])
 
@@ -288,7 +290,8 @@ class TestRelayConsistency:
         # a flip at any payload position splits the relays on the first
         # commitment only, the one tampered
         for bit in range(4):
-            transcript = run_session(SessionConfig(**self.CONFIG, tamper_p1_bit=bit))
+            transcript = document(
+                run_session(SessionConfig(**self.CONFIG, tamper_p1_bit=bit)))
             flags = [c["relay_consistent"] for c in transcript["commitments"]]
             assert flags[0] is False and all(flags[1:]), bit
 
@@ -369,9 +372,9 @@ class TestBobVerify:
 
 class TestUnveilSchedule:
     def test_epoch_is_global_max(self):
-        transcript = run_session(
+        transcript = document(run_session(
             SessionConfig(seed=9, frame_budget=500, commit_all=True, wait_p0=7)
-        )
+        ))
         sched = transcript["schedule"]
         assert len(sched["send_times"]) > 2
         assert sched["epoch"] == max(
@@ -432,27 +435,27 @@ class TestRunSession:
 
     def test_determinism(self):
         cfg = SessionConfig(seed=42, frame_budget=300, commit_all=True)
-        a = json.dumps(run_session(cfg), sort_keys=True)
-        b = json.dumps(run_session(cfg), sort_keys=True)
+        a = json.dumps(document(run_session(cfg)), sort_keys=True)
+        b = json.dumps(document(run_session(cfg)), sort_keys=True)
         assert a == b
 
     def test_no_commit_frame(self):
-        transcript = run_session(SessionConfig(seed=0, frame_budget=1))
+        transcript = document(run_session(SessionConfig(seed=0, frame_budget=1)))
         assert transcript["status"] == "no_commit_frame"
         assert transcript["verdict"] is None
         assert transcript["commitments"] == []
 
     def test_tamper_rejected_by_relay_check(self):
-        transcript = run_session(
+        transcript = document(run_session(
             SessionConfig(seed=1, frame_budget=200, tamper_p1_bit=0)
-        )
+        ))
         assert transcript["status"] == "reject"
         assert transcript["commitments"][0]["relay_consistent"] is False
 
     def test_key_accounting(self):
-        transcript = run_session(
+        transcript = document(run_session(
             SessionConfig(seed=9, frame_budget=500, commit_all=True)
-        )
+        ))
         n_commits = len(transcript["commitments"])
         assert n_commits > 1
         payload_len = 4  # raw mode, 2N = 4
@@ -475,22 +478,22 @@ class TestRunSession:
         # 80,000 records: two protocol passes
         config = SessionConfig(x=5, frame_budget=10_000, commit_all=True)
         assert len(list(proto.frame_batches(config, config.frame_budget))) > 1
-        assert len(run_session(config)["commitments"]) > 1
+        assert len(document(run_session(config))["commitments"]) > 1
         assert calls == [(2, 5)]
 
     def test_schedule_invariant(self):
-        transcript = run_session(
+        transcript = document(run_session(
             SessionConfig(seed=9, frame_budget=500, commit_all=True)
-        )
+        ))
         sched = transcript["schedule"]
         for key, t in sched["send_times"].items():
             channel = key.split(":")[1]
             assert sched["epoch"] >= t + sched["waits"][channel]
 
     def test_compressed_payload_mode(self):
-        transcript = run_session(
+        transcript = document(run_session(
             SessionConfig(seed=1, frame_budget=200, payload_mode=MODE_COMPRESSED)
-        )
+        ))
         assert transcript["status"] == "accept"
         # ceil(log2 6) + 1 basis bit
         assert transcript["commitments"][0]["messages"][0]["length"] == 4
@@ -532,18 +535,15 @@ class TestConcealment:
         from scipy.stats import chisquare
 
         for bit in (0, 1):
-            transcript = run_session(
+            transcript = document(run_session(
                 SessionConfig(
                     seed=13, frame_budget=30_000, commit_all=True, commit_bit=bit
                 )
-            )
+            ))
             ones = zeros = 0
             for entry in transcript["commitments"]:
                 msg = entry["messages"][0]
-                raw = bytes.fromhex(msg["ciphertext_hex"])
-                from pbc_bb84.codebook import unpack_bits
-
-                bits = unpack_bits(raw)
+                bits = unpack_bits(bytes.fromhex(msg["ciphertext_hex"]))
                 ones += sum(bits)
                 zeros += len(bits) - sum(bits)
             assert ones + zeros >= 4000

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from pbc_bb84 import commitment_protocol as cp
 from pbc_bb84.bb84_frames import distill, row_counts
 from pbc_bb84.commitment_protocol import SessionConfig, run_session, simulate_cheating_alice
+from transcript_reference import document
 
 WIDEST = 4 * cp.MAX_N_QUARTER
 
@@ -87,11 +88,11 @@ SESSIONS = [
 class TestPassBoundaries:
     @pytest.mark.parametrize("config", SESSIONS)
     def test_transcript_bytes_match_one_batch_passes(self, config, monkeypatch):
-        default = json.dumps(run_session(config), indent=2, sort_keys=True)
+        default = json.dumps(document(run_session(config)), indent=2, sort_keys=True)
         passes = len(list(cp.frame_batches(config, config.frame_budget)))
         _one_batch_passes(monkeypatch)
         assert len(list(cp.frame_batches(config, config.frame_budget))) > passes
-        assert json.dumps(run_session(config), indent=2, sort_keys=True) == default
+        assert json.dumps(document(run_session(config)), indent=2, sort_keys=True) == default
 
     def test_cheating_alice_matches_one_batch_passes(self, monkeypatch):
         config = SessionConfig(seed=10, n_tol=1, e_tol=0.3)
