@@ -90,7 +90,8 @@ def transmit_and_measure(
     ceil(n/2) before the flip draw and floor(n/2) after it.  A trial draw
     whose outcome is known, detection at ``detection_prob == 1.0`` or a
     flip at ``flip_prob == 0.0``, skips its n words instead of reading
-    them.
+    them, and the flip words of detected pulses alone become the doubles
+    of ``random()``, ``(word >> 11) * 2**-53``.
     """
     n = len(pulses)
     bits = np.random.PCG64(rng_seed)
@@ -100,17 +101,17 @@ def transmit_and_measure(
         kept = slice(None)
     else:
         kept = np.flatnonzero(random(n) < detection_prob)
+    bob = pulses.view("<u4")[kept]
+    sent = bob >> 24  # Bob's bits, as a matching basis reads them
     first = bits.random_raw((n + 1) // 2)
     if flip_prob == 0.0:
         bits.advance(n)
-        flips = 0
     else:
-        flips = random(n)[kept] < flip_prob
+        sent ^= (bits.random_raw(n)[kept] >> 11) * 2.0**-53 < flip_prob
     # Alice's bases, then the coins of her mismatched bases
     halves = _halves(np.concatenate([first, bits.random_raw(n // 2)]))
     alice, coin = halves[:n][kept] >> 31, halves[n:][kept] >> 31
-    bob = pulses.view("<u4")[kept]
-    outcome = np.where(alice == (bob >> 16 & 1), bob >> 24 ^ flips, coin)
+    outcome = np.where(alice == (bob >> 16 & 1), sent, coin)
     return _as_records(bob & 0xFFFF0000 | alice | outcome << 8)
 
 
@@ -154,11 +155,15 @@ def distill(sifted: np.ndarray, rate: float) -> np.ndarray:
 
     A row with s sifted records credits its first floor(s * rate) sifted
     outcomes as key values (idealized hashing: the scheme's security
-    accounting is rate-level, not code-level).  Ranks and credits are
+    accounting is rate-level, not code-level).  Only the rows that credit
+    fewer than s are ranked, so at rate 1 none is.  Ranks and credits are
     int16, exact because a frame holds at most 4N <= 4096 < 2^15 records:
     a rank is half as costly to accumulate as the default int64, and
     comparing it with an int16 credit makes no float64 copy of the ranks.
     """
-    rank = np.cumsum(sifted, axis=-1, dtype=np.int16)
-    credit = np.floor(rank[..., -1:] * rate).astype(np.int16)
-    return sifted & (rank <= credit)
+    count = row_counts(sifted)
+    credit = np.floor(count * rate).astype(np.int16)
+    credited, short = sifted.copy(), credit < count  # short rows are ranked
+    rows = sifted[short]
+    credited[short] = rows & (np.cumsum(rows, axis=-1, dtype=np.int16) <= credit[short, None])
+    return credited

@@ -6,12 +6,12 @@ Subcommands: ``rates`` (redundant-key-rate sweep), ``binding``
 function of (arguments, seed); CSV column order is fixed and JSON is
 emitted with sorted keys so reruns are byte-identical.  Each JSON output
 is the text ``json.dump(..., indent=2, sort_keys=True)`` would write, but
-its long array, the transcript's ``commitments`` or the report's
-``candidates``, is written into its slot from text pieces, in bounded
-writes: the commitments from templates, the candidates one block of
-paths at a time, gathered with numpy.  The ``rates`` CSV is the text
-``csv.writer`` would write, from one array pass over the grid, a block of
-lines at a time.
+its long values, the transcript's ``commitments`` and ``send_times`` or
+the report's ``candidates``, are written into their slots from text
+pieces, in bounded writes: the transcript's from templates a chunk at a
+time, the candidates one block of paths at a time, gathered with numpy.
+The ``rates`` CSV is the text ``csv.writer`` would write, from one array
+pass over the grid, a block of lines at a time.
 
 The parser is built once per process, on the first :func:`main` call,
 and each subcommand is looked up by name in this module at every call,
@@ -188,17 +188,16 @@ def cmd_binding(args) -> int:
 _CHUNK = 2**16
 
 
-def _write_spliced(stream, text: str, key: str, write_value, value) -> None:
-    """Write ``text``, the ``json.dumps(..., indent=2, sort_keys=True)``
-    text of a document whose top-level array ``key`` was left empty, and a
-    newline, with ``write_value(stream, value)`` writing the array into its
-    slot.  Only a top-level key starts a line with two spaces, so the slot
-    is found by its text."""
-    slot = f'\n  "{key}": '
-    head, tail = text.split(slot + "[]")
-    stream.write(head + slot)
-    write_value(stream, value)
-    stream.write(tail + "\n")
+def _write_spliced(stream, text: str, *slots) -> None:
+    """Write ``text`` and a newline, with ``write_value(stream, value)``
+    writing each ``(slot, write_value, value)`` of ``slots`` in text order.
+    ``text`` is ``json.dumps(..., indent=2, sort_keys=True)`` of a document
+    whose long values are empty, and a slot its key's line from the newline."""
+    for slot, write_value, value in slots:
+        head, text = text.split(slot)
+        stream.write(head + slot[:-2])  # all but the empty value
+        write_value(stream, value)
+    stream.write(text + "\n")
 
 
 #: A consistent commitment's counts, keys sorted, as ``json.dump(...,
@@ -223,8 +222,8 @@ _COMMITMENTS = tuple(
     for counts, flag in (("null", "false"), (_COUNTS, "true"))
 )
 
-#: The two ``schedule.send_times`` entries of a frame id, ``{0}``.
-_SEND_TIMES = ",\n      ".join(f'"{{0}}:{ch}": {{0}}' for ch in CHANNELS)
+#: A frame id's two ``schedule.send_times`` entries, each after a comma.
+_SEND_TIMES = "".join(f',\n      "%d:{ch}": %d' for ch in CHANNELS)
 
 
 def _write_commitments(stream, commitments) -> None:
@@ -264,23 +263,28 @@ def _write_commitments(stream, commitments) -> None:
     stream.write("\n  ]")
 
 
+def _write_send_times(stream, frame_id) -> None:
+    """Write ``schedule.send_times`` as json lays it out, a chunk of ids at a
+    time: its keys ``"<frame id>:<channel>"`` sort as strings, ":" last."""
+    ids = sorted(frame_id.tolist(), key="%d:".__mod__)
+    rows = max(1, _CHUNK // (len(_SEND_TIMES) + 4 * len(str(max(ids)))))
+    for start in range(0, len(ids), rows):
+        part = ids[start:start + rows]
+        text = _SEND_TIMES * len(part) % tuple(np.repeat(part, 4).tolist())
+        stream.write(text if start else "{" + text[1:])  # no comma before the first
+    stream.write("\n    }")
+
+
 def _write_transcript(stream, transcript: dict) -> None:
     """Write a :func:`run_session` transcript and a newline, byte for byte
-    as ``json.dump(..., indent=2, sort_keys=True)`` lays out the document
-    it stands for: the commitments from templates, into their slot, and
-    ``schedule.send_times``, one key per frame id and relay, from the
-    commitments' frame ids."""
-    commitments = transcript["commitments"]
-    text = json.dumps(dict(transcript, commitments=[]), indent=2, sort_keys=True)
-    if transcript["schedule"] is not None:
-        # json sorts the keys "<frame id>:<channel>" as strings, and ":"
-        # sorts after every digit.  send_times sorts between the schedule's
-        # epoch and waits, whose key alone starts a line with four spaces.
-        ids = sorted(map(str, commitments.frame_id.tolist()), key=lambda s: s + ":")
-        text = text.replace('\n    "waits": ', '\n    "send_times": {\n      '
-                            + ",\n      ".join(map(_SEND_TIMES.format, ids))
-                            + '\n    },\n    "waits": ', 1)
-    _write_spliced(stream, text, "commitments", _write_commitments, commitments)
+    as ``json.dump(..., indent=2, sort_keys=True)`` lays out its document,
+    the commitments and ``schedule.send_times`` spliced in from templates."""
+    commitments, doc = transcript["commitments"], dict(transcript, commitments=[])
+    slots = [('\n  "commitments": []', _write_commitments, commitments)]
+    if doc["schedule"] is not None:
+        doc["schedule"] = dict(doc["schedule"], send_times={})
+        slots.append(('\n    "send_times": {}', _write_send_times, commitments.frame_id))
+    _write_spliced(stream, json.dumps(doc, indent=2, sort_keys=True), *slots)
 
 
 def cmd_simulate(args) -> int:
@@ -448,7 +452,7 @@ def cmd_route(args) -> int:
 
     text = json.dumps(report, indent=2, sort_keys=True)
     with _output(args.output) as stream:
-        _write_spliced(stream, text, "candidates", _write_candidates, candidates)
+        _write_spliced(stream, text, ('\n  "candidates": []', _write_candidates, candidates))
     return EXIT_OK
 
 

@@ -353,10 +353,17 @@ def frame_batches(
         first_id += len(frames)
 
 
+def _rows(frames: np.ndarray, index) -> np.ndarray:
+    """Rows ``index`` of ``frames`` as ``<u4`` words, since numpy copies
+    structured rows field by field; fields too are gathered by index."""
+    return frames.view("<u4")[index].view(RECORD)
+
+
 def _commit_substrings(rows: np.ndarray, bit: int) -> np.ndarray:
     """The ``(n, 2N)`` outcomes that candidate rows measured in basis
     ``bit``, in record order: basis code b is the basis that commits bit b."""
-    return rows["outcome"][rows["alice_basis"] == bit].reshape(-1, rows.shape[-1] // 2)
+    picked = np.flatnonzero(rows["alice_basis"] == bit)
+    return rows["outcome"].ravel()[picked].reshape(-1, rows.shape[-1] // 2)
 
 
 def commit_masks(
@@ -369,14 +376,12 @@ def commit_masks(
     each basis: Bob's preparation bases are public after the detection
     notification, so Alice skips frames whose counts cannot pass.
     """
-    alice = frames["alice_basis"]
     # classify_frame and is_codeword: looked up where the benchmark wraps them
     candidate = bb84_frames.classify_frame(frames, config.n_quarter)
-    eligible = candidate.copy()
-    substrings = _commit_substrings(frames[candidate], config.commit_bit)
-    eligible[candidate] = is_codeword(cb, substrings)
-    n_rect = row_counts(sifted & (alice == 0))
-    n_diag = row_counts(sifted & (alice == 1))
+    eligible, rows = candidate.copy(), np.flatnonzero(candidate)
+    eligible[rows] = is_codeword(cb, _commit_substrings(_rows(frames, rows), config.commit_bit))
+    n_rect = row_counts(sifted & (frames["alice_basis"] == 0))
+    n_diag = row_counts(sifted) - n_rect
     countable = (n_rect >= config.n_tol) & (n_diag >= config.n_tol)
     return candidate, eligible, countable
 
@@ -443,10 +448,10 @@ def run_session(config: SessionConfig) -> dict:
         )
         # a committing frame's records are neither sifted bits nor key
         sifted[picked] = credited[picked] = False
-        keys.append(frames["outcome"][credited])
+        keys.append(frames["outcome"].ravel()[np.flatnonzero(credited)])
         dealt += len(keys[-1])
         frame_ids += [transcript["frames_total"] + i for i in picked]
-        committed.append(frames[picked].view("<u4"))
+        committed.append(frames.view("<u4")[picked])
         transcript["threshold_skipped"] += skipped
         transcript["insufficient_key_aborts"] += aborts
         transcript["sifted_bits"] += int(np.count_nonzero(sifted))
@@ -477,7 +482,7 @@ def run_session(config: SessionConfig) -> dict:
     # Bob's cross-check of the relays' decrypted payloads rejects a mismatch
     consistent = (dec0 == dec1).all(axis=1)
     code, counts = np.full(len(rows), 2), np.zeros((len(rows), 4), np.int64)
-    rows = rows[consistent]
+    rows = _rows(rows, np.flatnonzero(consistent))
     code[consistent], counts[consistent] = bob_verify(
         rows, rows["alice_basis"],
         decode_payload(cb, dec0[consistent], config.payload_mode),
@@ -524,7 +529,7 @@ def simulate_cheating_alice(config: SessionConfig, trials: int) -> tuple[float, 
         _, eligible, countable = commit_masks(
             frames, sift_records(frames), config, cb
         )
-        rows = frames[eligible & countable][: trials - done]
+        rows = _rows(frames, np.flatnonzero(eligible & countable)[: trials - done])
         honest = rows["alice_basis"]
         substrings = _commit_substrings(rows, config.commit_bit)
         for target in (0, 1):

@@ -150,3 +150,18 @@ def test_transcript_written_in_bounded_chunks(tmp_path, monkeypatch):
     assert len(transcript) > 100_000
     assert "".join(stream.parts) == transcript
     assert max(stream.sizes) <= min(2**20, len(transcript) // 2)
+
+
+def test_send_times_written_in_bounded_chunks():
+    # 10,769 commitments: their send_times entries are about 560,000
+    # characters, written a chunk of about _CHUNK characters at a time, as
+    # are the commitments; the rest of the transcript is under 2**12
+    transcript = run_session(SessionConfig(commit_all=True, frame_budget=220_000, seed=11))
+    assert len(transcript["commitments"].frame_id) > 10_000
+    text = expected(transcript)
+    for chunk, bound in ((cli._CHUNK, 2**17), (2**12, 2**13)):
+        stream = WriteSizes()
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            cli._write_transcript(stream, transcript)
+        assert "".join(stream.parts) == text
+        assert max(stream.sizes) <= bound
