@@ -150,20 +150,21 @@ def sift_records(frames: np.ndarray) -> np.ndarray:
     return frames["alice_basis"] == frames["bob_basis"]
 
 
-def distill(sifted: np.ndarray, rate: float) -> np.ndarray:
-    """Mask of the key bits credited from each row of a sift mask.
+def distill(sifted: np.ndarray, count: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the key bits credited from each row of a sift mask, and the
+    rows' credits, given the rows' sifted counts ``count``.
 
-    A row with s sifted records credits its first floor(s * rate) sifted
-    outcomes as key values (idealized hashing: the scheme's security
-    accounting is rate-level, not code-level).  Only the rows that credit
-    fewer than s are ranked, so at rate 1 none is.  Ranks and credits are
+    The rate applies per sifted record: a row with s sifted records credits
+    its first floor(s * rate) sifted outcomes as key values (idealized
+    hashing: the scheme's security accounting is rate-level, not
+    code-level; ``tests/test_closed_form_counts.py`` checks that at rate 1
+    a session's key equals its ``sifted_bits``).  Every row is ranked if
+    any credits fewer than s, and none otherwise.  Ranks and credits are
     int16, exact because a frame holds at most 4N <= 4096 < 2^15 records:
     a rank is half as costly to accumulate as the default int64, and
     comparing it with an int16 credit makes no float64 copy of the ranks.
     """
-    count = row_counts(sifted)
     credit = np.floor(count * rate).astype(np.int16)
-    credited, short = sifted.copy(), credit < count  # short rows are ranked
-    rows = sifted[short]
-    credited[short] = rows & (np.cumsum(rows, axis=-1, dtype=np.int16) <= credit[short, None])
-    return credited
+    if not (credit < count).any():
+        return sifted.copy(), credit
+    return sifted & (np.cumsum(sifted, axis=-1, dtype=np.int16) <= credit[..., None]), credit

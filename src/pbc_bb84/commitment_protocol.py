@@ -203,14 +203,9 @@ def bob_verify(
     side.  Returns the ``(n,)`` verdict codes (see :data:`VERDICTS`) and the
     ``(n, 4)`` counts.
     """
-    disclosure, payloads = np.asarray(disclosure), np.asarray(payloads)
     counts = compute_verification_counts(rows, disclosure, payloads)
-    aligned = row_counts(disclosure == claimed_bit) == payloads.shape[1]
-    passes = (
-        aligned
-        & (counts[:, 2 + claimed_bit] <= e_tol * n_tol)
-        & (counts[:, :2].min(axis=1) >= n_tol)
-    )
+    # misaligned: all n >= n_tol >= 1 same-basis records err, so n > e_tol * n_tol at e_tol < 1/2
+    passes = (counts[:, 2 + claimed_bit] <= e_tol * n_tol) & (counts[:, :2].min(axis=1) >= n_tol)
     return np.where(passes, claimed_bit, 2), counts
 
 
@@ -367,9 +362,11 @@ def _commit_substrings(rows: np.ndarray, bit: int) -> np.ndarray:
 
 
 def commit_masks(
-    frames: np.ndarray, sifted: np.ndarray, config: SessionConfig, cb: Codebook
+    frames: np.ndarray, sifted: np.ndarray, count: np.ndarray,
+    config: SessionConfig, cb: Codebook,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame masks (candidate, eligible, countable).
+    """Per-frame masks (candidate, eligible, countable) of ``frames``, their
+    sift mask and its row counts.
 
     Eligible frames are candidates whose outcomes in the commit basis form
     a codeword.  Countable frames have at least ``n_tol`` sifted records in
@@ -381,7 +378,7 @@ def commit_masks(
     eligible, rows = candidate.copy(), np.flatnonzero(candidate)
     eligible[rows] = is_codeword(cb, _commit_substrings(_rows(frames, rows), config.commit_bit))
     n_rect = row_counts(sifted & (frames["alice_basis"] == 0))
-    n_diag = row_counts(sifted) - n_rect
+    n_diag = count - n_rect
     countable = (n_rect >= config.n_tol) & (n_diag >= config.n_tol)
     return candidate, eligible, countable
 
@@ -440,25 +437,26 @@ def run_session(config: SessionConfig) -> dict:
 
     for frames in frame_batches(config, config.frame_budget):
         sifted = sift_records(frames)
-        candidate, eligible, countable = commit_masks(frames, sifted, config, cb)
-        credited = distill(sifted, rate)
+        count = row_counts(sifted)  # the pass's one sifted count per frame
+        candidate, eligible, countable = commit_masks(frames, sifted, count, config, cb)
+        credited, credit = distill(sifted, count, rate)
         picked, skipped, aborts = try_commit(
-            np.flatnonzero(eligible), countable, row_counts(credited),
+            np.flatnonzero(eligible), countable, credit,
             dealt, len(frame_ids), length, config.commit_all,
         )
         # a committing frame's records are neither sifted bits nor key
-        sifted[picked] = credited[picked] = False
+        credited[picked] = False
         keys.append(frames["outcome"].ravel()[np.flatnonzero(credited)])
         dealt += len(keys[-1])
         frame_ids += [transcript["frames_total"] + i for i in picked]
         committed.append(frames.view("<u4")[picked])
         transcript["threshold_skipped"] += skipped
         transcript["insufficient_key_aborts"] += aborts
-        transcript["sifted_bits"] += int(np.count_nonzero(sifted))
+        transcript["sifted_bits"] += int(count.sum() - count[picked].sum())
         transcript["frames_total"] += len(frames)
         transcript["candidate_frames"] += int(np.count_nonzero(candidate))
         transcript["eligible_frames"] += int(np.count_nonzero(eligible))
-    del frames, sifted, candidate, eligible, countable, credited, picked
+    del frames, sifted, count, candidate, eligible, countable, credited, credit, picked
 
     key = np.concatenate(keys)
     buffers = {CHANNEL_P0: KeyBuffer(), CHANNEL_P1: KeyBuffer()}
@@ -526,9 +524,8 @@ def simulate_cheating_alice(config: SessionConfig, trials: int) -> tuple[float, 
     succ = [0, 0]
     done = 0
     for frames in frame_batches(config):
-        _, eligible, countable = commit_masks(
-            frames, sift_records(frames), config, cb
-        )
+        sifted = sift_records(frames)
+        _, eligible, countable = commit_masks(frames, sifted, row_counts(sifted), config, cb)
         rows = _rows(frames, np.flatnonzero(eligible & countable)[: trials - done])
         honest = rows["alice_basis"]
         substrings = _commit_substrings(rows, config.commit_bit)

@@ -76,7 +76,8 @@ def log2_binom(n: int, k: int) -> float:
 def final_key_rate(q_tol: float) -> float:
     """Final per-signal key rate (1 - h(Q))^2 - 1.2 * h(Q).
 
-    Equals 1 at Q = 0 and crosses zero near Q = 0.066.
+    Equals 1 at Q = 0 and crosses zero near Q = 0.066.  The simulator
+    applies r per sifted record: a frame's s sifted records credit floor(s * r).
     """
     if not 0.0 <= q_tol < 0.5:
         raise ValueError("q_tol must lie in [0, 0.5)")

@@ -14,6 +14,7 @@ from pbc_bb84.bb84_frames import (
     classify_frame,
     distill,
     prepare_pulses,
+    row_counts,
     sift_records,
     transmit_and_measure,
 )
@@ -145,7 +146,10 @@ class TestSiftAndDistill:
         # the final key rate for q
         rate = max(0.0, mc.final_key_rate(q))
         normal = frames[~classify_frame(frames, 1)].reshape(-1)
-        return normal["outcome"][distill(sift_records(normal), rate)].tolist()
+        sifted = sift_records(normal)
+        credited, credit = distill(sifted, row_counts(sifted), rate)
+        assert np.count_nonzero(credited) == credit
+        return normal["outcome"][credited].tolist()
 
     def _normal_frames(self, n_sifted):
         # every record matched-basis but frames 3R/1D so they stay Normal
@@ -222,7 +226,8 @@ class TestMatchesReference:
         assert len(frames) == budget
         candidate = classify_frame(frames, config.n_quarter)
         sifted = sift_records(frames)
-        credited = distill(sifted, rate)
+        credited, credit = distill(sifted, row_counts(sifted), rate)
+        assert row_counts(credited).tolist() == credit.tolist()
         codes = {ref.Basis.RECTILINEAR: R, ref.Basis.DIAGONAL: D}
         for i, frame in enumerate(expected):
             assert frames[i].tolist() == [

@@ -12,7 +12,7 @@ import ledger_reference
 from test_codebook import unpack_bits
 from transcript_reference import document
 from pbc_bb84 import codebook, math_core
-from pbc_bb84.bb84_frames import RECORD, FrameClass, distill, sift_records
+from pbc_bb84.bb84_frames import RECORD, FrameClass, distill, row_counts, sift_records
 from pbc_bb84.codebook import Codebook, MODE_COMPRESSED
 from pbc_bb84 import commitment_protocol as proto
 from pbc_bb84.commitment_protocol import (
@@ -227,8 +227,10 @@ class TestMatchesLedgerReference:
         passes = []
         for frames in proto.frame_batches(config, config.frame_budget):
             sifted = sift_records(frames)
-            _, eligible, countable = proto.commit_masks(frames, sifted, config, cb)
-            passes.append((frames["outcome"], distill(sifted, rate), eligible, countable))
+            count = row_counts(sifted)
+            _, eligible, countable = proto.commit_masks(frames, sifted, count, config, cb)
+            credited, _ = distill(sifted, count, rate)
+            passes.append((frames["outcome"], credited, eligible, countable))
         length = proto.payload_length(cb, config.payload_mode)
         records, skipped, aborts, buffers = ledger_reference.run_ledger(
             passes, length, config.commit_all)
@@ -252,7 +254,8 @@ class TestCommitMaskFrames:
     def masks(self, frame, x):
         config = SessionConfig(n_quarter=2, x=x)
         frames = frame[None]
-        masks = proto.commit_masks(frames, sift_records(frames), config, Codebook(2, x))
+        sifted = sift_records(frames)
+        masks = proto.commit_masks(frames, sifted, row_counts(sifted), config, Codebook(2, x))
         return [bool(mask[0]) for mask in masks]
 
     def test_codeword_is_eligible(self):
@@ -406,8 +409,9 @@ class TestCommitMasks:
         )
         cb = Codebook(n_quarter, x)
         frames = next(proto.frame_batches(config))
+        sifted = sift_records(frames)
         candidate, eligible, countable = proto.commit_masks(
-            frames, sift_records(frames), config, cb
+            frames, sifted, row_counts(sifted), config, cb
         )
         basis = (ref.Basis.RECTILINEAR, ref.Basis.DIAGONAL)[commit_bit]
         for i, frame in enumerate(itertools.islice(ref.frame_stream(config), len(frames))):

@@ -2,7 +2,8 @@
 
 ``commit_masks``, ``_commit_substrings`` and the cheating simulator take
 rows of ``RECORD`` frames as their ``<u4`` words and fields by index, and
-``distill`` ranks only the rows that credit fewer bits than they sifted.
+``distill`` ranks every row, or none when no row credits fewer bits than
+it sifted.
 The references below are the structured-row, boolean-mask forms they
 replace; every result must be equal, on frames of N = 1-3 with any field
 values, including passes with no frame, no candidate, no credited bit, and
@@ -90,7 +91,7 @@ class TestCommitMasks:
     def test_match_mask_formulation(self, case):
         frames, config, cb = case
         sifted = sift_records(frames)
-        got = cp.commit_masks(frames, sifted, config, cb)
+        got = cp.commit_masks(frames, sifted, row_counts(sifted), config, cb)
         for mask, expected in zip(got, reference_masks(frames, sifted, config, cb)):
             assert mask.dtype == bool
             assert np.array_equal(mask, expected)
@@ -105,7 +106,7 @@ class TestCommitMasks:
             cb = Codebook(config.n_quarter, config.x)
             for frames in frame_batches(config, config.frame_budget):
                 sifted = sift_records(frames)
-                got = cp.commit_masks(frames, sifted, config, cb)
+                got = cp.commit_masks(frames, sifted, row_counts(sifted), config, cb)
                 for mask, expected in zip(got, reference_masks(frames, sifted, config, cb)):
                     assert np.array_equal(mask, expected)
 
@@ -128,16 +129,21 @@ class TestDistill:
     def test_match_ranks_of_every_row(self, shape, density, rate, seed):
         sifted = np.random.default_rng(seed).random(shape) < density
         before = sifted.copy()
-        credited = distill(sifted, rate)
+        count = np.count_nonzero(sifted, axis=-1).astype(np.int16)
+        credited, credit = distill(sifted, count, rate)
         assert credited.dtype == bool and credited.shape == sifted.shape
         assert np.array_equal(credited, reference_distill(sifted, rate))
+        assert credit.dtype == np.int16
+        assert credit.tolist() == np.count_nonzero(credited, axis=-1).tolist()
         # a new mask: the caller's sift mask is neither changed nor shared
         assert np.array_equal(sifted, before) and not np.shares_memory(credited, sifted)
 
     def test_full_rows_at_rate_one(self):
         sifted = random_frames(50, 2, 4, 0.5, 1)["alice_basis"] == 0
-        assert np.array_equal(distill(sifted, 1.0), sifted)
-        assert row_counts(distill(sifted, 0.0)).tolist() == [0] * 50
+        count = row_counts(sifted)
+        assert np.array_equal(distill(sifted, count, 1.0)[0], sifted)
+        credited, credit = distill(sifted, count, 0.0)
+        assert row_counts(credited).tolist() == credit.tolist() == [0] * 50
 
 
 def reference_cheating_alice(config, trials):

@@ -60,7 +60,9 @@ class TestDistill:
         sifted = random_mask(n, width, density, seed)
         rank = np.cumsum(sifted, axis=-1, dtype=np.int64)
         expected = sifted & (rank <= np.floor(rank[..., -1:] * rate))
-        assert np.array_equal(distill(sifted, rate), expected)
+        credited, credit = distill(sifted, row_counts(sifted), rate)
+        assert np.array_equal(credited, expected)
+        assert credit.tolist() == np.count_nonzero(expected, axis=1).tolist()
 
 
 def _one_batch_passes(monkeypatch):
