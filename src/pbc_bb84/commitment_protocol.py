@@ -26,6 +26,7 @@ from . import bb84_frames, math_core
 from .bb84_frames import (
     RECORD,
     assemble_frames,
+    batch_states,
     distill,
     prepare_pulses,
     row_counts,
@@ -322,8 +323,16 @@ def frame_batches(
     frame ``budget - 1``, cutting the pass that holds it.  Records are
     joined as their ``<u4`` words, since numpy joins a structured dtype
     field by field.
+
+    RNG batch k draws Bob's pulses and then the channel from two PCG64s
+    seeded with the two words of ``SeedSequence(config.seed)``'s k-th
+    spawned child, ``generate_state(2)``.  The session holds two PCG64s
+    and sets their states from :func:`bb84_frames.batch_states`, which
+    derives a chunk of batches' states in one array pass, so no batch
+    spawns a SeedSequence or builds a generator.
     """
-    seeds = np.random.SeedSequence(config.seed)
+    states = batch_states(config.seed)
+    prep, chan = np.random.PCG64(0), np.random.PCG64(0)  # states set per RNG batch
     size = 4 * config.n_quarter
     batch_pulses = max(4096, size * 64)
     target = max(_PASS_RECORDS, batch_pulses)
@@ -332,11 +341,10 @@ def frame_batches(
     while budget is None or first_id <= budget:
         drawn, held = [pending], len(pending)
         while held < target and (budget is None or first_id + held // size <= budget):
-            s_prep, s_chan = seeds.spawn(1)[0].generate_state(2)
-            # spawn once per RNG batch keeps seeds independent and reproducible
-            pulses = prepare_pulses(batch_pulses, int(s_prep))
+            prep.state, chan.state = next(states)
+            pulses = prepare_pulses(batch_pulses, prep)
             records = transmit_and_measure(
-                pulses, config.detection_prob, config.flip_prob, int(s_chan)
+                pulses, config.detection_prob, config.flip_prob, chan
             )
             drawn.append(records.view("<u4"))
             held += len(records)

@@ -1,11 +1,16 @@
-"""``Generator``-method draws: the reference for the decoded channel draws.
+"""``Generator``-method draws and spawned seeds: the reference for the
+decoded channel draws and the batch seeds derived in one array pass.
 
 These are ``bb84_frames.prepare_pulses`` and ``transmit_and_measure`` as
 they were written before they read PCG64 words directly: each draw is a
 call of ``numpy.random.Generator`` (``integers(0, 2)`` for a fair coin,
 ``random() < p`` for a trial) on ``default_rng(rng_seed)``, every draw
 made over all pulses, and the record fields written one at a time.  The
-package's functions must return the same bytes for every input.
+package's functions, given ``PCG64(rng_seed)``, must return the same bytes
+for every input.  ``batch_states`` seeds each RNG batch as
+``frame_batches`` did before ``bb84_frames.batch_states``: one
+``SeedSequence.spawn(1)`` per batch, and ``PCG64(int(word))`` for each of
+the child's two words.
 """
 
 from __future__ import annotations
@@ -40,3 +45,21 @@ def transmit_and_measure(
     records["outcome"] = np.where(
         alice == records["bob_basis"], records["bob_bit"] ^ flips, coins)
     return records
+
+
+def batch_states(seed: int, count: int) -> list[tuple[dict, dict]]:
+    """The ``PCG64.state`` pairs of a session's first ``count`` RNG
+    batches."""
+    seeds = np.random.SeedSequence(seed)
+    states = []
+    for _ in range(count):
+        s_prep, s_chan = seeds.spawn(1)[0].generate_state(2)
+        states.append((np.random.PCG64(int(s_prep)).state, np.random.PCG64(int(s_chan)).state))
+    return states
+
+
+def batch_state(seed: int, key: int) -> tuple[dict, dict]:
+    """The states of RNG batch ``key`` alone: the child ``spawn`` makes for
+    spawn key ``key``, built from the key directly."""
+    s_prep, s_chan = np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(2)
+    return np.random.PCG64(int(s_prep)).state, np.random.PCG64(int(s_chan)).state

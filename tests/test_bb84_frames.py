@@ -34,62 +34,62 @@ def test_record_is_four_bytes():
 
 class TestPreparePulses:
     def test_determinism(self):
-        a = prepare_pulses(8, rng_seed=7)
-        b = prepare_pulses(8, rng_seed=7)
+        a = prepare_pulses(8, np.random.PCG64(7))
+        b = prepare_pulses(8, np.random.PCG64(7))
         assert np.array_equal(a, b)
         assert len(a) == 8
 
     def test_single(self):
-        (pulse,) = prepare_pulses(1, rng_seed=0)
+        (pulse,) = prepare_pulses(1, np.random.PCG64(0))
         assert pulse["bob_basis"] in (R, D)
         assert pulse["bob_bit"] in (0, 1)
 
     def test_records_with_alice_half_zero(self):
-        pulses = prepare_pulses(64, rng_seed=1)
+        pulses = prepare_pulses(64, np.random.PCG64(1))
         assert pulses.dtype == RECORD
         assert not pulses["alice_basis"].any() and not pulses["outcome"].any()
 
     def test_basis_frequency(self):
-        pulses = prepare_pulses(100_000, rng_seed=11)
+        pulses = prepare_pulses(100_000, np.random.PCG64(11))
         rect = np.count_nonzero(pulses["bob_basis"] == R)
         assert abs(rect - 50_000) <= six_sigma(100_000, 0.5)
         assert abs(rect / 100_000 - 0.5) <= 0.01
 
     def test_count_guard(self):
         with pytest.raises(ValueError):
-            prepare_pulses(0, rng_seed=0)
+            prepare_pulses(0, np.random.PCG64(0))
 
 
 class TestTransmitAndMeasure:
     def test_noiseless_matched(self):
-        pulses = prepare_pulses(2000, rng_seed=3)
-        records = transmit_and_measure(pulses, 1.0, 0.0, rng_seed=4)
+        pulses = prepare_pulses(2000, np.random.PCG64(3))
+        records = transmit_and_measure(pulses, 1.0, 0.0, np.random.PCG64(4))
         assert len(records) == 2000
         matched = records["alice_basis"] == records["bob_basis"]
         assert np.array_equal(records["outcome"][matched], records["bob_bit"][matched])
 
     def test_detection_rate(self):
-        pulses = prepare_pulses(100_000, rng_seed=5)
-        records = transmit_and_measure(pulses, 0.5, 0.0, rng_seed=6)
+        pulses = prepare_pulses(100_000, np.random.PCG64(5))
+        records = transmit_and_measure(pulses, 0.5, 0.0, np.random.PCG64(6))
         assert abs(len(records) - 50_000) <= six_sigma(100_000, 0.5)
 
     def test_flip_rate(self):
-        pulses = prepare_pulses(100_000, rng_seed=7)
-        records = transmit_and_measure(pulses, 1.0, 0.1, rng_seed=8)
+        pulses = prepare_pulses(100_000, np.random.PCG64(7))
+        records = transmit_and_measure(pulses, 1.0, 0.1, np.random.PCG64(8))
         matched = records[records["alice_basis"] == records["bob_basis"]]
         errors = np.count_nonzero(matched["outcome"] != matched["bob_bit"])
         n = len(matched)
         assert abs(errors / n - 0.1) <= 6 * math.sqrt(0.1 * 0.9 / n)
 
     def test_determinism(self):
-        pulses = prepare_pulses(500, rng_seed=9)
-        a = transmit_and_measure(pulses, 0.7, 0.05, rng_seed=10)
-        b = transmit_and_measure(pulses, 0.7, 0.05, rng_seed=10)
+        pulses = prepare_pulses(500, np.random.PCG64(9))
+        a = transmit_and_measure(pulses, 0.7, 0.05, np.random.PCG64(10))
+        b = transmit_and_measure(pulses, 0.7, 0.05, np.random.PCG64(10))
         assert np.array_equal(a, b)
 
     def test_bob_half_is_the_detected_pulses(self):
-        pulses = prepare_pulses(500, rng_seed=9)
-        records = transmit_and_measure(pulses, 0.7, 0.05, rng_seed=10)
+        pulses = prepare_pulses(500, np.random.PCG64(9))
+        records = transmit_and_measure(pulses, 0.7, 0.05, np.random.PCG64(10))
         # the channel's first draw decides which pulses are detected
         detected = np.random.default_rng(10).random(500) < 0.7
         bob = ["bob_basis", "bob_bit"]
@@ -130,8 +130,8 @@ class TestAssembleFrames:
         assert len(assemble_frames(_records([]), 2)) == 0
 
     def test_candidate_frequency(self):
-        pulses = prepare_pulses(8 * 120_000, rng_seed=21)
-        records = transmit_and_measure(pulses, 1.0, 0.0, rng_seed=22)
+        pulses = prepare_pulses(8 * 120_000, np.random.PCG64(21))
+        records = transmit_and_measure(pulses, 1.0, 0.0, np.random.PCG64(22))
         frames = assemble_frames(records, n_quarter=2)
         m = len(frames)
         assert m >= 100_000
@@ -171,8 +171,8 @@ class TestSiftAndDistill:
         assert self._key(frames, 0.1) == []
 
     def test_sift_fraction(self):
-        pulses = prepare_pulses(100_000, rng_seed=31)
-        records = transmit_and_measure(pulses, 1.0, 0.0, rng_seed=32)
+        pulses = prepare_pulses(100_000, np.random.PCG64(31))
+        records = transmit_and_measure(pulses, 1.0, 0.0, np.random.PCG64(32))
         kept = np.count_nonzero(sift_records(assemble_frames(records, 1)))
         total = 4 * (len(records) // 4)
         assert abs(kept - total / 2) <= six_sigma(total, 0.5)
@@ -188,6 +188,21 @@ def _counting(module, name, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _drawn_states(monkeypatch):
+    """``(count, state)`` of each ``commitment_protocol.prepare_pulses``
+    call for the rest of the test, the bit generator's state as the call
+    finds it."""
+    calls = []
+    original = cp.prepare_pulses
+
+    def counted(count, bits):
+        calls.append((count, bits.state))
+        return original(count, bits)
+
+    monkeypatch.setattr(cp, "prepare_pulses", counted)
     return calls
 
 
@@ -241,14 +256,16 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("config,budget", CONFIGS)
     def test_budget_cut_draws_the_same_batches(self, config, budget, monkeypatch):
-        # the per-object session stopped on reading frame ``budget``
+        # the per-object session stopped on reading frame ``budget``; it
+        # seeds each batch with an int, the package sets a PCG64's state,
+        # so the batches compare by the generator state they draw from
         expected = _counting(ref, "prepare_pulses", monkeypatch)
         for _ in itertools.islice(ref.frame_stream(config), budget + 1):
             pass
-        drawn = _counting(cp, "prepare_pulses", monkeypatch)
+        drawn = _drawn_states(monkeypatch)
         for _ in cp.frame_batches(config, budget):
             pass
-        assert drawn == expected
+        assert drawn == [(count, np.random.PCG64(seed).state) for count, seed in expected]
 
     @pytest.mark.parametrize("config,budget", CONFIGS)
     def test_pass_holds_a_lossless_batch(self, config, budget, monkeypatch):

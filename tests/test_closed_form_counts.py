@@ -16,10 +16,18 @@ basis of a candidate frame:
   1/2.  The sessions are untampered, so every committed row's counts are
   present.
 
-Each check is a z-score against a normal approximation of its binomial.
-The 16 sessions below make 64 checks; at |z| <= 4.3 each fails by chance
+- the key credited at rate r < 1, the ledger's generated bits (P0 plus
+  P1) plus floor((n_rect + n_diag) * r) over the committed rows, is a sum
+  of F i.i.d. floor(S * r), S ~ Bin(4N, 1/2) a frame's sifted count: a
+  non-committing frame deals floor(s * r) key bits, and a committing
+  frame's counts are its sifted records.  It is checked at ``q_tol`` > 0,
+  unless floor(s * r) is 0 for every s <= 4N.
+
+Each check is a z-score against a normal approximation of its binomial,
+or of the credited sum (mean and variance F times those of floor(S * r)).
+The 16 sessions below make 72 checks; at |z| <= 4.3 each fails by chance
 with probability 1.7e-5, so the family fails by chance with probability
-at most 64 * 1.7e-5 = 1.1e-3 (Bonferroni).  At ``q_tol`` 0 the rate is 1
+at most 72 * 1.7e-5 = 1.2e-3 (Bonferroni).  At ``q_tol`` 0 the rate is 1
 per sifted record, so each non-committing frame credits every sifted
 record and the key ledger's generated bits equal ``sifted_bits`` exactly.
 """
@@ -57,10 +65,32 @@ def tail(n_tol, n_quarter):
     return sum(math.comb(two_n, k) for k in range(n_tol, two_n + 1)) / 2**two_n
 
 
-def test_grid_makes_64_checks():
-    # the stated family-wise rate counts 4 checks per session
-    assert len(CONFIGS) * 4 == 64
+def rate(config):
+    return max(0.0, math_core.final_key_rate(config.q_tol))
+
+
+def credit_moments(n_quarter, r):
+    """Mean and variance of floor(S * r), S ~ Bin(4N, 1/2); the product is
+    the float64 one the session takes."""
+    signals = 4 * n_quarter
+    credit = [(math.comb(signals, s) / 2**signals, math.floor(s * r))
+              for s in range(signals + 1)]
+    mean = sum(p * c for p, c in credit)
+    return mean, sum(p * c * c for p, c in credit) - mean**2
+
+
+def credited_at_rate(config):
+    """Whether the session's credited key is checked against its closed
+    form: the rate is below 1 and some sifted count credits a bit."""
+    return config.q_tol > 0 and math.floor(4 * config.n_quarter * rate(config)) > 0
+
+
+def test_grid_makes_72_checks():
+    # the stated family-wise rate counts 4 checks per session and one per
+    # session credited at a rate below 1
+    assert len(CONFIGS) * 4 + sum(map(credited_at_rate, CONFIGS)) == 72
     assert all(0 < tail(c.n_tol, c.n_quarter) < 1 for c in CONFIGS)
+    assert all(0 < rate(c) < 1 for c in CONFIGS if c.q_tol > 0)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: (
@@ -82,7 +112,14 @@ def test_counts_match_closed_forms(config):
         "sifted records": z_score(
             t["sifted_bits"] + committed_sifted, 4 * n * frames, 0.5),
     }
+    ledger = t["key_ledger"]
+    dealt = ledger["p0"]["generated"] + ledger["p1"]["generated"]
+    if credited_at_rate(config):
+        r = rate(config)
+        mean, var = credit_moments(n, r)
+        committed = columns.counts[:, :2].sum(axis=1).tolist()
+        credited = dealt + sum(math.floor(s * r) for s in committed)
+        z["key credited"] = (credited - frames * mean) / math.sqrt(frames * var)
     assert all(abs(v) <= Z_MAX for v in z.values()), z
     if config.q_tol == 0.0:
-        ledger = t["key_ledger"]
-        assert ledger["p0"]["generated"] + ledger["p1"]["generated"] == t["sifted_bits"]
+        assert dealt == t["sifted_bits"]
